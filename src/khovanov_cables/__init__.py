@@ -10,8 +10,7 @@ Subpackage map:
 - scanning: the divide-and-conquer engine used at production sizes
 - lee: canonical deformed cycles and the s-invariant
 - cobordism: band attachments, induced maps, skein triangles
-- induction: satellite families, renormalized gradings, the induction harness
-- cli, cli_io: manifest-driven command line front end with caching
+- induction: satellite families and the induction harness
 """
 
 __version__ = "0.1.0"

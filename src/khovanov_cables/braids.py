@@ -25,9 +25,11 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.strands >= 1
+        if self.strands < 1:
+            raise ValueError("a braid needs at least one strand")
         for l in self.letters:
-            assert l != 0 and abs(l) < self.strands, f"bad letter {l}"
+            if l == 0 or abs(l) >= self.strands:
+                raise ValueError(f"bad letter {l}")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         assert self.strands == other.strands

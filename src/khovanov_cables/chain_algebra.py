@@ -13,7 +13,7 @@ the arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -106,23 +106,30 @@ def independent_columns(A: np.ndarray, p: int) -> list[int]:
 # -- sparse vector helpers -----------------------------------------------
 
 
+def add_into(out: dict, terms: Iterable[tuple], p: int, scalar: int = 1) -> dict:
+    """out += scalar * terms mod p, in place; keys whose sum is 0 are dropped.
+
+    terms yields (key, coefficient) pairs; a pair with coefficient 0 is a
+    vanishing term (its key may be None) and is skipped.
+    """
+    for k, c in terms:
+        if not c:
+            continue
+        nc = (out.get(k, 0) + scalar * c) % p
+        if nc:
+            out[k] = nc
+        else:
+            out.pop(k, None)
+    return out
+
+
 def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    c %= p
-    if not c:
-        return {}
-    return {g: (a * c) % p for g, a in v.items() if (a * c) % p}
+    return add_into({}, v.items(), p, c)
 
 
 def vec_add(a: Vec, b: Vec, p: int, scalar: int = 1) -> Vec:
     """a + scalar * b."""
-    out = dict(a)
-    for g, c in b.items():
-        nc = (out.get(g, 0) + scalar * c) % p
-        if nc:
-            out[g] = nc
-        else:
-            out.pop(g, None)
-    return out
+    return add_into(dict(a), b.items(), p, scalar)
 
 
 def vec_proportional(a: Vec, b: Vec, p: int) -> bool:
@@ -167,12 +174,7 @@ class SimplifyTrace:
             b = v.pop(st.dst, None)
             if b:
                 f = (b * inv_mod(st.coeff, self.p)) % self.p
-                for w, c in st.src_targets.items():
-                    nc = (v.get(w, 0) - f * c) % self.p
-                    if nc:
-                        v[w] = nc
-                    else:
-                        v.pop(w, None)
+                add_into(v, st.src_targets.items(), self.p, -f)
         return v
 
     def lift(self, vec: Vec) -> Vec:
@@ -256,9 +258,8 @@ class ScalarComplex:
     def apply_d(self, vec: Vec) -> Vec:
         out: Vec = {}
         for g, c in vec.items():
-            for t, u in self.cols[g].items():
-                out[t] = (out.get(t, 0) + c * u) % self.p
-        return {g: c for g, c in out.items() if c}
+            add_into(out, self.cols[g].items(), self.p, c)
+        return out
 
     def check_d_squared(self) -> None:
         for g in self.grading:

@@ -19,7 +19,6 @@ exact sequence together with their rank bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from .frobenius import (
     khovanov,
     lee_deformation,
 )
-from .planar import Embedding, ResolvedState
+from .planar import Embedding
 from .scanning import scan_complex
 
 Foot = tuple[str, int]
@@ -155,10 +154,7 @@ def plumb_band(D: LinkDiagram, band: BandSpec) -> PlumbedBand:
     b_kind, b_id = band.foot_b
 
     if a_kind == "edge" and b_kind == "edge" and a_id != b_id:
-        piece_of = {}
-        for root, cids in D.pieces().items():
-            for x in cids:
-                piece_of[x] = root
+        piece_of = D.piece_of_crossing()
         ra = piece_of[D.edges[a_id].ends[0][0]]
         rb = piece_of[D.edges[b_id].ends[0][0]]
         if ra != rb:
@@ -410,30 +406,6 @@ def _oriented_bits(
     return bits
 
 
-def _state_class(
-    cube: CubeComplex,
-    bits,
-    rev_edges: frozenset[int],
-    rev_loops: frozenset[int],
-) -> Vec:
-    """Canonical deformed-theory vector at a forced state: each circle
-    takes the root label its parity selects."""
-    th = cube.theory
-    rs = ResolvedState(cube.D, dict(zip(cube.cids, bits)))
-    labels = [
-        th.canonical_label(rs.parity_for(k, rev_edges, rev_loops))
-        for k in range(len(rs.circles))
-    ]
-    vec: Vec = {}
-    for choice in product((0, 1), repeat=len(labels)):
-        coeff = 1
-        for lab, bit in zip(labels, choice):
-            coeff = (coeff * lab[bit]) % th.p
-        if coeff:
-            vec[cube.gid[(bits, choice)]] = coeff
-    return vec
-
-
 def _transported_flips(
     pb: PlumbedBand, rev_edges: frozenset[int], rev_loops: frozenset[int]
 ) -> frozenset[int]:
@@ -531,7 +503,7 @@ def band_images(
             pb.ident if cid == pb.crossing else obits[cid]
             for cid in cube.cids
         )
-        x0 = _state_class(cube, bits0, rev_e, rev_l)
+        x0 = cube.state_class(bits0, rev_e, rev_l)
         if pb.ident == 0:
             y = cube.cx.apply_d(x0)
             assert all(g in keep for g in y), "image escaped the surgery side"
@@ -554,11 +526,9 @@ def band_images(
                     1 if cid == pb.crossing else obits[cid]
                     for cid in cube.cids
                 )
-            x1 = (
-                _state_class(cube, bits1, rev_e, rev_l)
-                if pb.ident == 0
-                else cube.canonical_cycle(_transported_flips(pb, rev_e, rev_l))
-            )
+                x1 = cube.state_class(bits1, rev_e, rev_l)
+            else:
+                x1 = cube.canonical_cycle(_transported_flips(pb, rev_e, rev_l))
             for g in x1:
                 assert cube.cx.grading[g][0] == h, (
                     "band image and target sit in different degrees"
@@ -809,9 +779,6 @@ class SkeinTriangle:
     @property
     def unoriented_diagram(self) -> LinkDiagram | None:
         return self.resolved[1 - self.oriented_r]
-
-    def oriented_block(self) -> str:
-        return "quot" if self.oriented_r == 0 else "sub"
 
     def natures(self) -> tuple[str, str, str] | None:
         """Kinds of the three arrows in cyclic order: into the diagram

@@ -109,19 +109,18 @@ class CubeComplex:
         sm = self.D.oriented_smoothings(flips)
         return tuple(sm[c] for c in self.cids)
 
-    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
-        """Deformed-theory cycle of the orientation `flips`: the tensor of
-        root labels picked by each circle's parity at the oriented state."""
+    def state_class(
+        self, bits: State, rev_edges: frozenset[int], rev_loops: frozenset[int]
+    ) -> Vec:
+        """Deformed-theory vector at a state: the tensor of the root labels
+        picked by each circle's parity under the orientation that reverses
+        the given edges and loops."""
         th = self.theory
-        bits = self.oriented_state(flips)
         rs = ResolvedState(self.D, dict(zip(self.cids, bits)))
-        for cid in self.cids:
-            pair = {
-                rs.circle_of_edge[self.D.crossings[cid].slots[s][0]]
-                for s in range(4)
-            }
-            assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
-        labels = [th.canonical_label(rs.parity(k, flips)) for k in range(len(rs.circles))]
+        labels = [
+            th.canonical_label(rs.parity_for(k, rev_edges, rev_loops))
+            for k in range(len(rs.circles))
+        ]
         vec: Vec = {}
         for choice in product((0, 1), repeat=len(labels)):
             coeff = 1
@@ -131,9 +130,12 @@ class CubeComplex:
                 vec[self.gid[(bits, choice)]] = coeff
         return vec
 
-
-def homology_table(
-    D: LinkDiagram, theory: Theory, flips: frozenset[int] = frozenset()
-) -> dict:
-    """Homology dimensions keyed by (h, q) when exact, by h when deformed."""
-    return CubeComplex(D, theory, flips).cx.homology_dims()
+    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
+        """Deformed-theory cycle of the orientation `flips`: the state class
+        of its oriented state."""
+        bits = self.oriented_state(flips)
+        circle_of = {e: k for k, c in enumerate(self.circles[bits]) for e in c.edges}
+        for cid in self.cids:
+            pair = {circle_of[e] for e, _ in self.D.crossings[cid].slots}
+            assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
+        return self.state_class(bits, *self.D.reversed_parts(flips))

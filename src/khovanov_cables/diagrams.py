@@ -21,7 +21,7 @@ walk direction; face traversal turns clockwise at each crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 Dart = tuple[int, int]
@@ -55,6 +55,32 @@ class Component:
 
     edges: tuple[int, ...] = ()
     loop: int | None = None
+
+
+class UnionFind:
+    """Disjoint sets over a fixed collection of hashable items."""
+
+    def __init__(self, items: Iterable) -> None:
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def groups(self) -> dict:
+        """Root -> members; roots and members in the order items were given."""
+        out: dict = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 def smoothing_pairs(over_diag: int, r: int) -> list[tuple[int, int]]:
@@ -124,28 +150,12 @@ class LinkDiagram:
         eid, toward = dart
         return self.edges[eid].ends[toward]
 
-    def other_end(self, eid: int, end: End) -> End:
-        a, b = self.edges[eid].ends
-        return b if end == a else a
-
     def pieces(self) -> dict[int, set[int]]:
         """Connected edged pieces: piece key (min crossing id) -> crossing set."""
-        parent: dict[int, int] = {c: c for c in self.crossings}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        uf = UnionFind(self.crossings)
         for e in self.edges.values():
-            ra, rb = find(e.ends[0][0]), find(e.ends[1][0])
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for c in self.crossings:
-            groups.setdefault(find(c), set()).add(c)
-        return {min(g): g for g in groups.values()}
+            uf.union(e.ends[0][0], e.ends[1][0])
+        return {min(g): set(g) for g in uf.groups().values()}
 
     def piece_of_crossing(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -198,6 +208,15 @@ class LinkDiagram:
                 out[comp.loop] = i
         return out
 
+    def reversed_parts(
+        self, flips: frozenset[int]
+    ) -> tuple[frozenset[int], frozenset[int]]:
+        """Edges and loops that the orientation reversing `flips` runs backward."""
+        return (
+            frozenset(e for e, k in self.component_of_edge().items() if k in flips),
+            frozenset(l for l, k in self.component_of_loop().items() if k in flips),
+        )
+
     def incoming_slots(self, cid: int, flips: frozenset[int]) -> dict[int, int]:
         """Map slot -> 1 if the strand arrives at the crossing there under the
         orientation that reverses the components in `flips`."""
@@ -241,12 +260,10 @@ class LinkDiagram:
         for cid, x in self.crossings.items():
             over = comp[x.slots[x.over_diag][0]]
             under = comp[x.slots[(x.over_diag + 1) % 4][0]]
-            pair = {over, under}
             if (over in comps_a and under in comps_b) or (
                 over in comps_b and under in comps_a
             ):
                 total += self.crossing_sign(cid, flips)
-            del pair
         assert total % 2 == 0
         return total // 2
 
@@ -295,23 +312,6 @@ class LinkDiagram:
             for k, (own, host) in D.piece_data.items()
         }
         D._components = None
-        return D
-
-    def reverse_all(self) -> "LinkDiagram":
-        """Reverse every component's direction."""
-        D = LinkDiagram()
-        D.crossings = {c: x.copy() for c, x in self.crossings.items()}
-        D.edges = {e: Edge((x.ends[1], x.ends[0])) for e, x in self.edges.items()}
-        for x in D.crossings.values():
-            x.slots = [(e, 1 - idx) for (e, idx) in x.slots]
-        D.loops = {l: Loop(not x.ccw, _flip_dart(x.host)) for l, x in self.loops.items()}
-        D.piece_data = {
-            k: (_flip_dart(own), _flip_dart(host))  # type: ignore[arg-type]
-            for k, (own, host) in self.piece_data.items()
-        }
-        D._next_cid = self._next_cid
-        D._next_eid = self._next_eid
-        D._next_lid = self._next_lid
         return D
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":

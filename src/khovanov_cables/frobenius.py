@@ -23,14 +23,13 @@ class Theory:
     t: int = 0
 
     def __post_init__(self) -> None:
-        assert self.p in _SMALL_PRIMES, f"field order {self.p} not supported"
-        assert 0 <= self.h < self.p and 0 <= self.t < self.p
-        assert (self.h, self.t) in {(0, 0), (0, 1), (1, 0)}, (
-            "unsupported deformation point"
-        )
-        if self.t:
+        if self.p not in _SMALL_PRIMES:
+            raise ValueError(f"field order {self.p} not supported")
+        if (self.h, self.t) not in {(0, 0), (0, 1), (1, 0)}:
+            raise ValueError("unsupported deformation point")
+        if self.t and self.p == 2:
             # X^2 = t needs two distinct square roots of t in the field
-            assert self.p != 2, "the t-deformation degenerates in characteristic 2"
+            raise ValueError("the t-deformation degenerates in characteristic 2")
 
     @property
     def q_exact(self) -> bool:

@@ -39,7 +39,7 @@ from .braids import (
 from .cabling import alternating_flips, cable_family_diagram
 from .chain_algebra import HomologySpace, induced_matrix, rank
 from .cobordism import cone_over_crossing
-from .diagrams import LinkDiagram, smoothing_pairs
+from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
 from .scanning import homology_table
@@ -61,15 +61,6 @@ def reversal_span(level: int, strands: int) -> int:
     n = strand_width(level)
     assert 0 <= strands <= n
     return 2 * strands * (n - strands)
-
-
-def orientation_grading(framing: int, level: int, p: int, q: int) -> int:
-    """Forced degree gap between the classes reversing q and p strands
-    of a trivial-pattern framed cable."""
-    n = strand_width(level)
-    num = framing * ((n - 2 * q) ** 2 - (n - 2 * p) ** 2)
-    assert num % 2 == 0
-    return num // 2
 
 
 # -- the ladder ----------------------------------------------------------
@@ -160,28 +151,16 @@ def smoothed_component_count(D: LinkDiagram, cid: int, r: int) -> int:
     Traced through edge identifications only; the smoothing is never
     materialized, so curl degeneracies cost nothing.
     """
-    parent = {e: e for e in D.edges}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = UnionFind(D.edges)
     for c2, x in D.crossings.items():
         if c2 == cid:
             continue
-        union(x.slots[0][0], x.slots[2][0])
-        union(x.slots[1][0], x.slots[3][0])
+        uf.union(x.slots[0][0], x.slots[2][0])
+        uf.union(x.slots[1][0], x.slots[3][0])
     x = D.crossings[cid]
     for sa, sb in smoothing_pairs(x.over_diag, r):
-        union(x.slots[sa][0], x.slots[sb][0])
-    return len({find(e) for e in D.edges}) + len(D.loops)
+        uf.union(x.slots[sa][0], x.slots[sb][0])
+    return len(uf.groups()) + len(D.loops)
 
 
 # -- the one-crossing triangle at the last pattern letter ----------------
@@ -346,34 +325,6 @@ def split_circle_tensor(dims: dict) -> dict:
     return out
 
 
-# -- renormalization -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RenormalizedDims:
-    """Homology table shifted so the member's own orientation class sits
-    in degree minus the top grading; equivalently, so the vanishing
-    statement reads `nothing above top_grading(level)` before the shift
-    and `nothing above zero` after it."""
-
-    shift: int
-    dims: tuple[tuple, ...]
-
-    def as_dict(self) -> dict:
-        return dict(self.dims)
-
-
-def renormalized_table(dims: dict, level: int) -> RenormalizedDims:
-    s = top_grading(level)
-    out = {}
-    for k, v in dims.items():
-        if isinstance(k, tuple):
-            out[(k[0] - s, k[1])] = v
-        else:
-            out[k - s] = v
-    return RenormalizedDims(shift=-s, dims=tuple(sorted(out.items())))
-
-
 # -- per-entry audit -----------------------------------------------------
 
 
@@ -403,9 +354,6 @@ class FamilyReport:
     max_level: int
     budget: int
     records: list[EntryRecord] = field(default_factory=list)
-
-    def by_entry(self) -> dict[LadderEntry, EntryRecord]:
-        return {r.entry: r for r in self.records}
 
     def skipped(self) -> list[EntryRecord]:
         return [r for r in self.records if r.status == "skipped"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Dart, LinkDiagram, smoothing_pairs
+from .diagrams import Dart, LinkDiagram, UnionFind, smoothing_pairs
 
 
 class Embedding:
@@ -62,36 +62,13 @@ class Circle:
     loop: int | None = None
 
 
-class _UF:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def find(self, a):
-        p = self.parent
-        p.setdefault(a, a)
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def state_circles(D: LinkDiagram, smoothings: dict[int, int]) -> list[Circle]:
     """Circles of a resolved state, edged ones by min edge id, then loops."""
-    uf = _UF()
-    for eid in D.edges:
-        uf.find(eid)
+    uf = UnionFind(D.edges)
     for cid, x in D.crossings.items():
         for sa, sb in smoothing_pairs(x.over_diag, smoothings[cid]):
             uf.union(x.slots[sa][0], x.slots[sb][0])
-    groups: dict[int, set[int]] = {}
-    for eid in D.edges:
-        groups.setdefault(uf.find(eid), set()).add(eid)
-    circles = [Circle(frozenset(g)) for g in groups.values()]
+    circles = [Circle(frozenset(g)) for g in uf.groups().values()]
     circles.sort(key=lambda c: min(c.edges))
     for lid in sorted(D.loops):
         circles.append(Circle(frozenset(), loop=lid))
@@ -118,12 +95,9 @@ class ResolvedState:
         D = self.D
         if not D.edges:
             self.nesting = [0] * len(self.circles)
-            self._side_depth = {}
             return
         emb = Embedding(D)
-        uf = _UF()
-        for f in range(len(emb.faces)):
-            uf.find(f)
+        uf = UnionFind(range(len(emb.faces)))
         for cid, x in D.crossings.items():
             pairs = smoothing_pairs(x.over_diag, self.smoothings[cid])
             spanned = {p[0] for p in pairs}
@@ -188,30 +162,17 @@ class ResolvedState:
                     self.nesting.append(depth[uf.find(emb.left_face(host))])
 
     def cw_indicator(self, idx: int, flips: frozenset[int]) -> int:
-        """1 if circle idx runs clockwise under the given orientation."""
-        c = self.circles[idx]
-        if c.loop is not None:
-            comp = self.D.component_of_loop()[c.loop]
-            ccw = self.D.loops[c.loop].ccw != (comp in flips)
-            return 0 if ccw else 1
-        comp_of = self.D.component_of_edge()
-        eid = min(c.edges)
-        flipped = comp_of[eid] in flips
-        d_along = (eid, 0 if flipped else 1)
-        d_against = (eid, 1 if flipped else 0)
-        fl = self._depth[self._uf.find(self._emb.left_face(d_along))]
-        fr = self._depth[self._uf.find(self._emb.left_face(d_against))]
-        assert abs(fl - fr) == 1
-        return 0 if fl > fr else 1
+        """cw_indicator_for under the orientation reversing the components in flips."""
+        return self.cw_indicator_for(idx, *self.D.reversed_parts(flips))
 
     def parity(self, idx: int, flips: frozenset[int]) -> int:
-        return (self.nesting[idx] + self.cw_indicator(idx, flips)) % 2
+        return self.parity_for(idx, *self.D.reversed_parts(flips))
 
     def cw_indicator_for(
         self, idx: int, rev_edges: frozenset[int], rev_loops: frozenset[int]
     ) -> int:
-        """Like cw_indicator, but the orientation is given directly as the
-        sets of reversed edges and reversed loops instead of per component.
+        """1 if circle idx runs clockwise under the orientation that reverses
+        the given edges and loops.
 
         Only the circle's lowest edge (or its loop) is consulted, so the
         sets need only be consistent along each circle.

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Sequence
 
-from .chain_algebra import ScalarComplex, Vec, inv_mod
-from .diagrams import LinkDiagram, smoothing_pairs
+from .chain_algebra import ScalarComplex, Vec, add_into, inv_mod, vec_add
+from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
 from .frobenius import Label, Theory
 from .planar import ResolvedState
 
@@ -132,29 +132,10 @@ def _rebuild(parts: list, coeff: int, th: Theory):
 # morphism arithmetic
 
 
-def mor_add(m1: Morphism, m2: Morphism, p: int) -> Morphism:
-    out = dict(m1)
-    for pt, c in m2.items():
-        c2 = (out.get(pt, 0) + c) % p
-        if c2:
-            out[pt] = c2
-        else:
-            out.pop(pt, None)
-    return out
-
-
-def mor_scale(m: Morphism, c: int, p: int) -> Morphism:
-    c %= p
-    if c == 0:
-        return {}
-    return {pt: (k * c) % p for pt, k in m.items()}
-
-
 def _glue(pt_e: Partition, pt_t: Partition, scalar: int, th: Theory):
     """Glue the target boundary of one partition to the source of another."""
-    parts = [(set(arcs), label, chi) for arcs, label, chi in pt_e]
-    off = len(parts)
-    parts += [(set(arcs), label, chi) for arcs, label, chi in pt_t]
+    parts = [*pt_e, *pt_t]
+    off = len(pt_e)
 
     mid_e: dict = {}
     mid_t: dict = {}
@@ -170,40 +151,25 @@ def _glue(pt_e: Partition, pt_t: Partition, scalar: int, th: Theory):
                 mid_t[key] = off + j
     assert set(mid_e) == set(mid_t), "composition boundaries do not match"
 
-    parent = list(range(len(parts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for key in mid_e:
-        ra, rb = find(mid_e[key]), find(mid_t[key])
-        if ra != rb:
-            parent[ra] = rb
-
-    mid_count: dict = {}
-    for key in mid_e:
-        r = find(mid_e[key])
-        mid_count[r] = mid_count.get(r, 0) + 1
-
-    classes: dict = {}
-    for i in range(len(parts)):
-        classes.setdefault(find(i), []).append(i)
+    uf = UnionFind(range(len(parts)))
+    for key, i in mid_e.items():
+        uf.union(i, mid_t[key])
 
     working = []
-    for root, members in classes.items():
+    for members in uf.groups().values():
         arcs: set = set()
         label: Label = (1, 0)
         chi = 0
         for i in members:
             a, lab, c = parts[i]
             keep_side = "s" if i < off else "t"
-            arcs |= {arc for arc in a if arc[0] == keep_side}
+            kept = {arc for arc in a if arc[0] == keep_side}
+            arcs |= kept
             label = th.mul(label, lab)
             chi += c
-        chi -= mid_count.get(root, 0)
+            if i < off:
+                # each dropped target arc is one middle strand glued shut
+                chi -= len(a) - len(kept)
         working.append((arcs, label, chi))
     return _rebuild(working, scalar, th)
 
@@ -211,23 +177,19 @@ def _glue(pt_e: Partition, pt_t: Partition, scalar: int, th: Theory):
 def compose(later: Morphism, earlier: Morphism, th: Theory) -> Morphism:
     """later after earlier; the middle objects must agree."""
     p = th.p
-    out: Morphism = {}
-    for pt1, c1 in earlier.items():
-        for pt2, c2 in later.items():
-            pt, c = _glue(pt1, pt2, c1 * c2 % p, th)
-            if pt is None or c == 0:
-                continue
-            tot = (out.get(pt, 0) + c) % p
-            if tot:
-                out[pt] = tot
-            else:
-                out.pop(pt, None)
-    return out
+    return add_into(
+        {},
+        (
+            _glue(pt1, pt2, c1 * c2 % p, th)
+            for pt1, c1 in earlier.items()
+            for pt2, c2 in later.items()
+        ),
+        p,
+    )
 
 
 def mor_cap(m: Morphism, arc: Arc, cap_label: Label, th: Theory) -> Morphism:
     """Cap one boundary arc with a labeled disk."""
-    p = th.p
     out: Morphism = {}
     for partition, coeff in m.items():
         working = []
@@ -239,14 +201,7 @@ def mor_cap(m: Morphism, arc: Arc, cap_label: Label, th: Theory) -> Morphism:
             else:
                 working.append((set(arcs), label, chi))
         assert hit, "capped arc is not on the boundary"
-        pt, c = _rebuild(working, coeff, th)
-        if pt is None or c == 0:
-            continue
-        tot = (out.get(pt, 0) + c) % p
-        if tot:
-            out[pt] = tot
-        else:
-            out.pop(pt, None)
+        add_into(out, (_rebuild(working, coeff, th),), th.p)
     return out
 
 
@@ -392,19 +347,11 @@ def _apply_piece(parts: list, piece: _Piece, th: Theory) -> list:
 
 def _lift_morphism(m: Morphism, pieces: list, th: Theory) -> Morphism:
     out: Morphism = {}
-    p = th.p
     for partition, coeff in m.items():
         working = [(set(arcs), label, chi) for arcs, label, chi in partition]
         for piece in pieces:
             working = _apply_piece(working, piece, th)
-        pt, c = _rebuild(working, coeff, th)
-        if pt is None or c == 0:
-            continue
-        tot = (out.get(pt, 0) + c) % p
-        if tot:
-            out[pt] = tot
-        else:
-            out.pop(pt, None)
+        add_into(out, (_rebuild(working, coeff, th),), th.p)
     return out
 
 
@@ -499,7 +446,6 @@ class ScanResult:
     complex: ScalarComplex
     cycles: dict
     girth: int
-    order: tuple
     split: dict | None = None
 
 
@@ -717,21 +663,18 @@ class _Scan:
         outs = [(w, m) for w, m in sorted(self.d.get(x, {}).items()) if w != y]
         for z, bz in ins:
             for w, cw in outs:
-                corr = mor_scale(compose(cw, bz, th), scale, p)
                 prev = self.d.get(z, {}).get(w, {})
-                tot = mor_add(prev, corr, p)
+                tot = vec_add(prev, compose(cw, bz, th), p, scale)
                 self._del_entry(z, w)
                 self._set_entry(z, w, tot)
         for tr in self.tracks:
             vy = tr.vec.get(y)
             if vy:
                 for w, cw in outs:
-                    corr = mor_scale(compose(cw, vy, th), scale, p)
-                    tot = mor_add(tr.vec.get(w, {}), corr, p)
-                    if tot:
-                        tr.vec[w] = tot
-                    else:
-                        tr.vec.pop(w, None)
+                    tot = tr.vec.setdefault(w, {})
+                    add_into(tot, compose(cw, vy, th).items(), p, scale)
+                    if not tot:
+                        del tr.vec[w]
             tr.vec.pop(x, None)
             tr.vec.pop(y, None)
         for z, _ in ins:
@@ -817,7 +760,7 @@ class _Scan:
                 key = "zero" if self.side[gid] == 0 else "one"
                 for sigma in signs:
                     split[key].append(ids[(gid, sigma)])
-        return ScanResult(cx, cycles, self.girth, (), split)
+        return ScanResult(cx, cycles, self.girth, split)
 
 
 def _make_track(D: LinkDiagram, th: Theory, flips: frozenset) -> _Track:
@@ -861,14 +804,13 @@ def scan_complex(
             partial, _ = scan_order(D, exclude=frozenset((split_at,)))
             order = partial + [split_at]
     order = list(order)
-    assert sorted(order) == sorted(D.crossings), "order must cover every crossing"
+    if sorted(order) != sorted(D.crossings):
+        raise ValueError("order must list every crossing exactly once")
     sc = _Scan(D, theory, tracks)
     for cid in order:
         last = split_at is not None and cid == split_at
         sc.attach(cid, eliminate=not last, record_side=last)
-    out = sc.finish(flips)
-    out.order = tuple(order)
-    return out
+    return sc.finish(flips)
 
 
 def homology_table(D: LinkDiagram, theory: Theory, flips: frozenset = frozenset()):

@@ -35,10 +35,14 @@ def test_word_roundtrip():
 
 
 def test_word_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BraidWord(2, (2,))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         BraidWord(3, (0,))
+    with pytest.raises(ValueError):
+        BraidWord(2, (0, 5))
+    with pytest.raises(ValueError):
+        BraidWord(0, ())
 
 
 def test_permutation_cycles():

@@ -1,0 +1,67 @@
+"""Bad user input raises ValueError, also when asserts are compiled out."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from khovanov_cables.braids import BraidWord, braid_closure
+from khovanov_cables.frobenius import Theory, khovanov
+from khovanov_cables.scanning import scan_complex
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"p": 4, "h": 2, "t": 3},
+        {"p": 4},
+        {"p": 3, "h": 3},
+        {"p": 5, "h": 1, "t": 1},
+    ],
+)
+def test_theory_rejects_bad_parameters(kwargs):
+    with pytest.raises(ValueError):
+        Theory(**kwargs)
+
+
+def test_scan_rejects_an_order_missing_a_crossing():
+    D = braid_closure(BraidWord(2, (1, 1, 1)))
+    with pytest.raises(ValueError):
+        scan_complex(D, khovanov(3), order=[0, 1])
+    with pytest.raises(ValueError):
+        scan_complex(D, khovanov(3), order=[0, 1, 1, 2])
+
+
+def test_rejections_survive_optimized_mode():
+    script = "\n".join(
+        [
+            "from khovanov_cables.braids import BraidWord, braid_closure",
+            "from khovanov_cables.frobenius import Theory, khovanov",
+            "from khovanov_cables.scanning import scan_complex",
+            "D = braid_closure(BraidWord(2, (1, 1, 1)))",
+            "for make in (",
+            "    lambda: Theory(p=4, h=2, t=3),",
+            "    lambda: BraidWord(2, (0, 5)),",
+            "    lambda: scan_complex(D, khovanov(3), order=[0, 1]),",
+            "):",
+            "    try:",
+            "        make()",
+            "    except ValueError:",
+            "        continue",
+            "    raise SystemExit('accepted bad input')",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONOPTIMIZE", None)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

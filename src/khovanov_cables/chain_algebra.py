@@ -94,15 +94,6 @@ def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     return x
 
 
-def in_column_span(A: np.ndarray, b: np.ndarray, p: int) -> bool:
-    return solve(A, b, p) is not None
-
-
-def independent_columns(A: np.ndarray, p: int) -> list[int]:
-    """Indices of a maximal independent subset of columns (leftmost greedy)."""
-    return row_reduce(A, p)[1]
-
-
 # -- sparse vector helpers -----------------------------------------------
 
 
@@ -235,13 +226,22 @@ class ScalarComplex:
             self.cols[src].pop(dst, None)
             self.rows[dst].pop(src, None)
 
-    def copy(self) -> "ScalarComplex":
+    def restrict(self, keep) -> "ScalarComplex":
+        """The span of the generators in keep, with their ids and order.
+
+        Entries leaving keep are dropped: a subcomplex when keep is closed
+        under d, a quotient when its complement is.
+        """
+        keep = set(keep)
         cx = ScalarComplex(self.p, self.q_exact)
-        cx.grading = dict(self.grading)
-        cx.cols = {g: dict(col) for g, col in self.cols.items()}
-        cx.rows = {g: dict(row) for g, row in self.rows.items()}
+        cx.grading = {g: hq for g, hq in self.grading.items() if g in keep}
+        cx.cols = {g: {t: u for t, u in self.cols[g].items() if t in keep} for g in cx.grading}
+        cx.rows = {g: {s: u for s, u in self.rows[g].items() if s in keep} for g in cx.grading}
         cx._next_id = self._next_id
         return cx
+
+    def copy(self) -> "ScalarComplex":
+        return self.restrict(self.grading)
 
     # inspection
 
@@ -360,60 +360,53 @@ class ScalarComplex:
 
     # filtration
 
-    def filtration_level(self, vec: Vec, check_cycle: bool = True) -> int | None:
+    def filtration_level(self, vec: Vec) -> int | None:
         """Largest Q with vec in span{q >= Q} + boundaries; None if vec bounds.
 
         vec must be a cycle concentrated in a single homological degree.
+        The boundaries are put in echelon form over the degree's generators
+        ordered by q ascending, so clearing vec on the pivots leaves the
+        representative whose lowest q is as high as it can be: that q is
+        the level.
         """
         if not vec:
             return None
         hs = {self.grading[g][0] for g in vec}
         assert len(hs) == 1, "filtration level needs an h-homogeneous cycle"
         h = hs.pop()
-        if check_cycle:
-            assert not self.apply_d(vec), "filtration level needs a cycle"
-        srcs = self.gens_at(h - 1)
-        tgts = self.gens_at(h)
-        A = self.dense_block(srcs, tgts)
+        assert not self.apply_d(vec), "filtration level needs a cycle"
+        tgts = sorted(self.gens_at(h), key=lambda g: self.grading[g][1])
+        R, pivots = row_reduce(self.dense_block(self.gens_at(h - 1), tgts).T, self.p)
         b = np.array([vec.get(g, 0) for g in tgts], dtype=np.int64)
-        if in_column_span(A, b, self.p):
-            return None
-        for Q in sorted({self.grading[g][1] for g in tgts}, reverse=True):
-            keep = [i for i, g in enumerate(tgts) if self.grading[g][1] < Q]
-            if in_column_span(A[keep], b[keep], self.p):
-                return Q
-        raise AssertionError("unreachable: the bottom level always passes")
+        for i, c in enumerate(pivots):
+            if b[c]:
+                b = (b - b[c] * R[i]) % self.p
+        left = np.flatnonzero(b)
+        return self.grading[tgts[left[0]]][1] if left.size else None
 
 
 class HomologySpace:
     """Basis data for the homology of a complex in one degree.
 
-    Representatives extend an independent set of boundaries to a basis of
-    the cycle space; coords() expresses any cycle's class in that basis.
+    The frame is the leftmost pivot columns of [boundaries | cycles]: the
+    independent boundary columns, then the cycle-basis columns that extend
+    them to a basis of the cycle space, which are the representatives.
+    coords() expresses any cycle's class in that basis.
     """
 
     def __init__(self, cx: ScalarComplex, h: int):
         self.cx = cx
         self.h = h
         self.tgts = cx.gens_at(h)
-        p = cx.p
-        d_out = cx.dense_block(self.tgts, cx.gens_at(h + 1))
         d_in = cx.dense_block(cx.gens_at(h - 1), self.tgts)
-        K = nullspace(d_out, p)
-        B = d_in[:, independent_columns(d_in, p)]
-        frame = B
-        reps: list[int] = []
-        for j in range(K.shape[1]):
-            col = K[:, j]
-            if solve(frame, col, p) is None:
-                frame = np.concatenate([frame, col.reshape(-1, 1)], axis=1)
-                reps.append(j)
-        self.boundary_rank = B.shape[1]
-        self.rep_matrix = (
-            K[:, reps] if reps else _zeros(len(self.tgts), 0)
-        )
-        self._frame = frame
-        self.dim = len(reps)
+        K = nullspace(cx.dense_block(self.tgts, cx.gens_at(h + 1)), cx.p)
+        n_in = d_in.shape[1]
+        frame = np.concatenate([d_in, K], axis=1)
+        pivots = row_reduce(frame, cx.p)[1]
+        self._frame = frame[:, pivots]
+        self.boundary_rank = sum(c < n_in for c in pivots)
+        self.rep_matrix = self._frame[:, self.boundary_rank :]
+        self.dim = self.rep_matrix.shape[1]
 
     def rep_vectors(self) -> list[Vec]:
         out: list[Vec] = []

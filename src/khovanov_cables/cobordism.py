@@ -366,21 +366,6 @@ def surgered_diagram(pb: PlumbedBand) -> LinkDiagram:
 # -- the induced map on deformed homology --------------------------------
 
 
-def _subquotient(cx: ScalarComplex, keep) -> ScalarComplex:
-    """Restriction of a complex to a subset of generators, keeping ids."""
-    keep = set(keep)
-    sub = ScalarComplex(cx.p, cx.q_exact)
-    sub.grading = {g: cx.grading[g] for g in keep}
-    sub.cols = {
-        g: {t: u for t, u in cx.cols[g].items() if t in keep} for g in keep
-    }
-    sub.rows = {
-        g: {s: u for s, u in cx.rows[g].items() if s in keep} for g in keep
-    }
-    sub._next_id = cx._next_id
-    return sub
-
-
 def _oriented_bits(
     Dc: LinkDiagram, cids, skip: int, rev_edges: frozenset[int]
 ) -> dict[int, int]:
@@ -485,7 +470,7 @@ def band_images(
 
     if pb.ident == 0:
         keep = {g for (bits, _), g in cube.gid.items() if bits[i] == 1}
-        tgt = _subquotient(cube.cx, keep)
+        tgt = cube.cx.restrict(keep)
     else:
         keep = None
         tgt = cube.cx.copy()
@@ -560,10 +545,10 @@ class ConeSlices:
     cycles: dict | None = None
 
     def sub_complex(self) -> ScalarComplex:
-        return _subquotient(self.cx, self.sub_ids)
+        return self.cx.restrict(self.sub_ids)
 
     def quot_complex(self) -> ScalarComplex:
-        return _subquotient(self.cx, self.quot_ids)
+        return self.cx.restrict(self.quot_ids)
 
     def include(self, vec: Vec) -> Vec:
         return dict(vec)
@@ -662,9 +647,9 @@ def les_report(cone: ConeSlices) -> TriangleReport:
         groups = [(None, set(cx.grading))]
 
     for q, gens in groups:
-        amb = _subquotient(cx, gens)
-        sub = _subquotient(cx, gens & cone.sub_ids)
-        quo = _subquotient(cx, gens & cone.quot_ids)
+        amb = cx.restrict(gens)
+        sub = cx.restrict(gens & cone.sub_ids)
+        quo = cx.restrict(gens & cone.quot_ids)
         hs = {h for (h, _) in amb.grading.values()}
         if not hs:
             continue

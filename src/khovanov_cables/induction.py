@@ -74,9 +74,9 @@ class LadderEntry:
     tail: int
 
     def __post_init__(self) -> None:
-        assert self.level >= 0
-        assert 0 <= self.full_rows <= 2 * self.level
-        assert 0 <= self.tail <= 2 * self.level
+        # a negative level leaves no room for either field
+        if not (0 <= self.full_rows <= 2 * self.level and 0 <= self.tail <= 2 * self.level):
+            raise ValueError(f"{self.label()}: full_rows and tail must lie in 0..2*level")
 
     def label(self) -> str:
         return (
@@ -86,7 +86,10 @@ class LadderEntry:
 
 
 def ladder(writhe: int, max_level: int) -> tuple[LadderEntry, ...]:
-    assert writhe <= 0, "companion diagram must not have positive writhe"
+    if writhe > 0:
+        raise ValueError("companion diagram must not have positive writhe")
+    if max_level < 0:
+        raise ValueError(f"max_level {max_level} is negative")
     out = []
     for f in range(writhe, 1):
         for m in range(max_level + 1):
@@ -592,10 +595,11 @@ def audit_family(
     budget; the word and linking arithmetic still runs for those
     entries.  Entries word-equal to an earlier one inherit its verdict.
     """
-    assert len(base.closure_cycles()) == 1, "companion must close to a knot"
+    if len(base.closure_cycles()) != 1:
+        raise ValueError("companion must close to a knot")
     w = base.writhe
-    if writhe is not None:
-        assert w == writhe, "declared writhe does not match the word"
+    if writhe is not None and w != writhe:
+        raise ValueError(f"declared writhe {writhe} does not match the word's {w}")
     if tables is None:
         tables = {}
     report = FamilyReport(name=name, writhe=w, max_level=max_level, budget=budget)
@@ -636,9 +640,10 @@ def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> Inclus
     smaller member survives into the larger one.
     """
     problems: list[str] = []
+    if level_to < 1:
+        raise ValueError("the inclusion goes into level 1 or higher")
     m2 = level_to
     m1 = level_to - 1
-    assert m1 >= 0
     e = LadderEntry(0, m2, 2 * m2, 2 * m2)
     th = khovanov(3)
     D = family_diagram(base, e)

@@ -280,6 +280,17 @@ def test_saddle_quantum_degree_is_minus_one():
             assert sh[0][1] - sh[1][1] + eff(R0) - eff(R1) == -1
 
 
+def nonzero_les_rows(cone) -> dict:
+    rep = les_report(cone)
+    assert rep.ok, rep.failures
+    out = {}
+    for bucket in rep.buckets:
+        rows = [row for row in bucket["rows"] if any(row[1:])]
+        if rows:
+            out[bucket["q"]] = rows
+    return out
+
+
 def test_cone_routes_agree():
     th = khovanov(3)
     for D in [cl(1, 1), cl(1, 1, 1)]:
@@ -293,6 +304,15 @@ def test_cone_routes_agree():
             cb.simplify()
             assert ca.homology_dims() == cb.homology_dims(), side
         assert les_report(b).ok
+    # the scan keeps fewer generators, so only rows with a nonzero entry compare
+    rng = random.Random(4242)
+    for th in (khovanov(3), lee_deformation(3), bar_natan_deformation(3)):
+        for _ in range(24):
+            w = random_braid(rng, rng.choice([2, 3]), rng.randint(1, 5))
+            D = braid_closure(w)
+            cid = rng.choice(sorted(D.crossings))
+            scanned = nonzero_les_rows(cone_over_crossing(D, th, cid))
+            assert scanned == nonzero_les_rows(cone_from_cube(D, th, cid)), (th, w, cid)
 
 
 def test_exactness_failure_is_detected():

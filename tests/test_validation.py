@@ -9,6 +9,7 @@ import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure
 from khovanov_cables.frobenius import Theory, khovanov
+from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
 from khovanov_cables.scanning import scan_complex
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -36,17 +37,40 @@ def test_scan_rejects_an_order_missing_a_crossing():
         scan_complex(D, khovanov(3), order=[0, 1, 1, 2])
 
 
+# (callable name, args): each must raise ValueError
+BAD_HARNESS_INPUT = [
+    ("ladder", (2, 1)),
+    ("ladder", (0, -1)),
+    ("LadderEntry", (0, -1, 0, 0)),
+    ("LadderEntry", (0, 0, 1, 0)),
+    ("LadderEntry", (0, 1, 0, 3)),
+    ("LadderEntry", (0, 1, -1, 0)),
+    ("audit_family", (BraidWord(2, (1,)), "hopf", None, 0)),
+    ("audit_family", (BraidWord(2, (-1, -1, -1)), "trefoil", -2, 0)),
+    ("inclusion_report", (BraidWord(1, ()), 0)),
+]
+
+
+@pytest.mark.parametrize("name, args", BAD_HARNESS_INPUT)
+def test_harness_rejects_bad_input(name, args):
+    with pytest.raises(ValueError):
+        globals()[name](*args)
+
+
 def test_rejections_survive_optimized_mode():
     script = "\n".join(
         [
             "from khovanov_cables.braids import BraidWord, braid_closure",
             "from khovanov_cables.frobenius import Theory, khovanov",
+            "from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder",
             "from khovanov_cables.scanning import scan_complex",
             "D = braid_closure(BraidWord(2, (1, 1, 1)))",
+            f"harness = {BAD_HARNESS_INPUT!r}",
             "for make in (",
             "    lambda: Theory(p=4, h=2, t=3),",
             "    lambda: BraidWord(2, (0, 5)),",
             "    lambda: scan_complex(D, khovanov(3), order=[0, 1]),",
+            "    *[lambda name=name, args=args: globals()[name](*args) for name, args in harness],",
             "):",
             "    try:",
             "        make()",

@@ -28,11 +28,20 @@ whenever a reference circle closes, it is capped with the canonical label
 of the corresponding circle of the fully resolved diagram, and every
 elimination projects the coordinates exactly as the matrix-level reduction
 in chain_algebra does.
+
+Elimination always cancels the smallest iso entry (x, y) first, ordered by
+generator ids; a heap of the entries written since they were last checked
+finds it without sweeping the whole differential again.  The surface
+normalizations of one attachment (gluing, capping, lifting and counting
+boundary circles) are memoized on unit coefficients in a _SurfaceMemo that
+the attachment creates and drops: entries repeat heavily within one
+attachment, while a memo kept for a whole scan would grow with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -58,11 +67,30 @@ def _is_strand(key) -> bool:
     return isinstance(key, frozenset)
 
 
+class _SurfaceMemo:
+    """Unit-coefficient surface results, shared by the calls of one attach.
+
+    Each table maps a key to what the plain function returned for it: the
+    glued partition of (earlier, later), the capped partition of
+    (partition, arc, label), the lifted partition of (pieces, partition),
+    and the boundary-circle count of a frozen arc set.  A caller scales a
+    (partition, c0) result by its own coefficient, which is exact because
+    p is prime and neither factor is zero.
+    """
+
+    def __init__(self, th: Theory):
+        self.th = th
+        self.glued: dict = {}
+        self.capped: dict = {}
+        self.lifted: dict = {}
+        self.circles: dict = {}
+
+
 # ---------------------------------------------------------------------------
 # part and partition normalization
 
 
-def _part_boundary_circles(arcs: set) -> int:
+def _part_boundary_circles(arcs: frozenset) -> int:
     """Number of boundary circles of a part.
 
     Strand arcs pair up into closed cycles (every point carries exactly one
@@ -99,20 +127,23 @@ def _part_boundary_circles(arcs: set) -> int:
     return beta
 
 
-def _rebuild(parts: list, coeff: int, th: Theory):
-    """Genus-normalize working parts and fold closed ones into the scalar.
+def _rebuild(parts: list, memo: _SurfaceMemo):
+    """Genus-normalize working parts and fold closed ones into a unit scalar.
 
-    Returns (partition, coeff); partition is None when the result is zero.
+    Returns (partition, c0): the result is c0 times the partition, and
+    partition is None when it is zero.
     """
+    th = memo.th
     p = th.p
-    coeff %= p
-    if coeff == 0:
-        return None, 0
+    coeff = 1
     frozen = []
     for arcs, label, chi in parts:
         if label == (0, 0):
             return None, 0
-        beta = _part_boundary_circles(arcs)
+        arcs = frozenset(arcs)
+        beta = memo.circles.get(arcs)
+        if beta is None:
+            beta = memo.circles[arcs] = _part_boundary_circles(arcs)
         slack = 2 - chi - beta
         assert slack >= 0 and slack % 2 == 0, "part has impossible topology"
         if slack:
@@ -124,7 +155,7 @@ def _rebuild(parts: list, coeff: int, th: Theory):
             if coeff == 0:
                 return None, 0
             continue
-        frozen.append((frozenset(arcs), label, 2 - beta))
+        frozen.append((arcs, label, 2 - beta))
     return frozenset(frozen), coeff
 
 
@@ -132,8 +163,9 @@ def _rebuild(parts: list, coeff: int, th: Theory):
 # morphism arithmetic
 
 
-def _glue(pt_e: Partition, pt_t: Partition, scalar: int, th: Theory):
+def _glue(pt_e: Partition, pt_t: Partition, memo: _SurfaceMemo):
     """Glue the target boundary of one partition to the source of another."""
+    th = memo.th
     parts = [*pt_e, *pt_t]
     off = len(pt_e)
 
@@ -171,37 +203,47 @@ def _glue(pt_e: Partition, pt_t: Partition, scalar: int, th: Theory):
                 # each dropped target arc is one middle strand glued shut
                 chi -= len(a) - len(kept)
         working.append((arcs, label, chi))
-    return _rebuild(working, scalar, th)
+    return _rebuild(working, memo)
 
 
-def compose(later: Morphism, earlier: Morphism, th: Theory) -> Morphism:
+def compose(later: Morphism, earlier: Morphism, memo: _SurfaceMemo) -> Morphism:
     """later after earlier; the middle objects must agree."""
-    p = th.p
-    return add_into(
-        {},
-        (
-            _glue(pt1, pt2, c1 * c2 % p, th)
-            for pt1, c1 in earlier.items()
-            for pt2, c2 in later.items()
-        ),
-        p,
-    )
+    glued = memo.glued
+    out: Morphism = {}
+    for pt1, c1 in earlier.items():
+        for pt2, c2 in later.items():
+            key = (pt1, pt2)
+            hit = glued.get(key)
+            if hit is None:
+                hit = glued[key] = _glue(pt1, pt2, memo)
+            add_into(out, (hit,), memo.th.p, c1 * c2)
+    return out
 
 
-def mor_cap(m: Morphism, arc: Arc, cap_label: Label, th: Theory) -> Morphism:
+def _cap(partition: Partition, arc: Arc, cap_label: Label, memo: _SurfaceMemo):
+    th = memo.th
+    working = []
+    hit = False
+    for arcs, label, chi in partition:
+        if arc in arcs:
+            hit = True
+            working.append((set(arcs) - {arc}, th.mul(label, cap_label), chi + 1))
+        else:
+            working.append((set(arcs), label, chi))
+    assert hit, "capped arc is not on the boundary"
+    return _rebuild(working, memo)
+
+
+def mor_cap(m: Morphism, arc: Arc, cap_label: Label, memo: _SurfaceMemo) -> Morphism:
     """Cap one boundary arc with a labeled disk."""
+    capped = memo.capped
     out: Morphism = {}
     for partition, coeff in m.items():
-        working = []
-        hit = False
-        for arcs, label, chi in partition:
-            if arc in arcs:
-                hit = True
-                working.append((set(arcs) - {arc}, th.mul(label, cap_label), chi + 1))
-            else:
-                working.append((set(arcs), label, chi))
-        assert hit, "capped arc is not on the boundary"
-        add_into(out, (_rebuild(working, coeff, th),), th.p)
+        key = (partition, arc, cap_label)
+        hit = capped.get(key)
+        if hit is None:
+            hit = capped[key] = _cap(partition, arc, cap_label, memo)
+        add_into(out, (hit,), memo.th.p, coeff)
     return out
 
 
@@ -269,20 +311,20 @@ def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
             M[ea] = eb
             M[eb] = ea
             ops.append(("new", frozenset((ea, eb)), frozenset()))
-    return M, ops, circles
+    return M, tuple(ops), circles
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Piece:
     """One surface piece of an attachment, glued along vertical lines."""
 
     chi: int
     glue_points: frozenset
-    ops_s: list
-    ops_t: list
+    ops_s: tuple
+    ops_t: tuple
 
 
-def _lift_pieces(ops_src: list, ops_tgt: list) -> list:
+def _lift_pieces(ops_src: tuple, ops_tgt: tuple) -> tuple:
     """Cylinder pieces lifting a morphism through one attachment.
 
     Source and target objects receive the same smoothing arcs, so the ops
@@ -293,8 +335,8 @@ def _lift_pieces(ops_src: list, ops_tgt: list) -> list:
         cons = _op_consumed(os_)
         assert cons == _op_consumed(ot), "lift sides consume different points"
         chi = 0 if os_[0] == "selfcircle" else 1
-        pieces.append(_Piece(chi, cons, [os_], [ot]))
-    return pieces
+        pieces.append(_Piece(chi, cons, (os_,), (ot,)))
+    return tuple(pieces)
 
 
 def _apply_ops(arcs: set, side: str, ops: Iterable) -> None:
@@ -345,13 +387,23 @@ def _apply_piece(parts: list, piece: _Piece, th: Theory) -> list:
     return untouched
 
 
-def _lift_morphism(m: Morphism, pieces: list, th: Theory) -> Morphism:
+def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo):
+    working = [(set(arcs), label, chi) for arcs, label, chi in partition]
+    for piece in pieces:
+        working = _apply_piece(working, piece, memo.th)
+    return _rebuild(working, memo)
+
+
+def _lift_morphism(m: Morphism, pieces: tuple, memo: _SurfaceMemo) -> Morphism:
+    lifted = memo.lifted.get(pieces)
+    if lifted is None:
+        lifted = memo.lifted[pieces] = {}
     out: Morphism = {}
     for partition, coeff in m.items():
-        working = [(set(arcs), label, chi) for arcs, label, chi in partition]
-        for piece in pieces:
-            working = _apply_piece(working, piece, th)
-        add_into(out, (_rebuild(working, coeff, th),), th.p)
+        hit = lifted.get(partition)
+        if hit is None:
+            hit = lifted[partition] = _lift(partition, pieces, memo)
+        add_into(out, (hit,), memo.th.p, coeff)
     return out
 
 
@@ -496,6 +548,7 @@ class _Scan:
 
     def attach(self, cid: int, eliminate: bool = True, record_side: bool = False):
         D, th = self.D, self.th
+        memo = _SurfaceMemo(th)
         cr = D.crossings[cid]
         slot_edges = [cr.slots[s][0] for s in range(4)]
         arcs_by_eps = {
@@ -533,7 +586,7 @@ class _Scan:
             for y, m in row.items():
                 for eps in (0, 1):
                     pieces = _lift_pieces(info[x][eps][1], info[y][eps][1])
-                    m2 = _lift_morphism(m, pieces, th)
+                    m2 = _lift_morphism(m, pieces, memo)
                     self._set_entry(newid[(x, eps)], newid[(y, eps)], m2)
 
         self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
@@ -543,9 +596,9 @@ class _Scan:
             piece = _Piece(1 - len(self_edges), glue, info[gid][0][1], info[gid][1][1])
             working = _apply_piece(_identity_parts(g.matching), piece, th)
             sign = 1 if g.rawh % 2 == 0 else self.p - 1
-            pt, c = _rebuild(working, sign, th)
-            if pt is not None and c:
-                self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c})
+            pt, c0 = _rebuild(working, memo)
+            if pt is not None:
+                self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
 
         for tr in self.tracks:
             eps = tr.ro[cid]
@@ -569,9 +622,9 @@ class _Scan:
             newvec = {}
             for gid, v in tr.vec.items():
                 pieces = _lift_pieces(rops, info[gid][eps][1])
-                v2 = _lift_morphism(v, pieces, th)
+                v2 = _lift_morphism(v, pieces, memo)
                 for marker, lab in caps:
-                    v2 = mor_cap(v2, ("s", marker), lab, th)
+                    v2 = mor_cap(v2, ("s", marker), lab, memo)
                 if v2:
                     newvec[newid[(gid, eps)]] = v2
             tr.R = newR
@@ -588,13 +641,13 @@ class _Scan:
                 self.open.discard(e)
         self.girth = max(self.girth, len(self.open))
 
-        self._deloop_all()
+        self._deloop_all(memo)
         if eliminate:
-            self._eliminate_all()
+            self._eliminate_all(memo)
 
     # -- delooping
 
-    def _deloop_all(self) -> None:
+    def _deloop_all(self, memo: _SurfaceMemo) -> None:
         queue = [gid for gid, g in self.gens.items() if g.circles]
         while queue:
             gid = queue.pop()
@@ -614,17 +667,17 @@ class _Scan:
             for w in sorted(self.rin.get(gid, set())):
                 m = self.d[w][gid]
                 self._del_entry(w, gid)
-                self._set_entry(w, gp, mor_cap(m, ("t", marker), pi_plus, th))
-                self._set_entry(w, gm, mor_cap(m, ("t", marker), pi_minus, th))
+                self._set_entry(w, gp, mor_cap(m, ("t", marker), pi_plus, memo))
+                self._set_entry(w, gm, mor_cap(m, ("t", marker), pi_minus, memo))
             for z, m in list(self.d.get(gid, {}).items()):
                 self._del_entry(gid, z)
-                self._set_entry(gp, z, mor_cap(m, ("s", marker), (1, 0), th))
-                self._set_entry(gm, z, mor_cap(m, ("s", marker), (0, 1), th))
+                self._set_entry(gp, z, mor_cap(m, ("s", marker), (1, 0), memo))
+                self._set_entry(gm, z, mor_cap(m, ("s", marker), (0, 1), memo))
             for tr in self.tracks:
                 if gid in tr.vec:
                     v = tr.vec.pop(gid)
-                    vp = mor_cap(v, ("t", marker), pi_plus, th)
-                    vm = mor_cap(v, ("t", marker), pi_minus, th)
+                    vp = mor_cap(v, ("t", marker), pi_plus, memo)
+                    vm = mor_cap(v, ("t", marker), pi_minus, memo)
                     if vp:
                         tr.vec[gp] = vp
                     if vm:
@@ -654,8 +707,9 @@ class _Scan:
             scalar = scalar * label[0] % self.p
         return scalar % self.p or None
 
-    def _eliminate(self, x: int, y: int, u: int) -> None:
-        th, p = self.th, self.p
+    def _eliminate(self, x: int, y: int, u: int, memo: _SurfaceMemo) -> list:
+        """Cancel the iso entry (x, y); returns the pairs (z, w) it rewrote."""
+        p = self.p
         scale = (-inv_mod(u, p)) % p
         ins = [
             (z, self.d[z][y]) for z in sorted(self.rin.get(y, set())) if z != x
@@ -664,7 +718,7 @@ class _Scan:
         for z, bz in ins:
             for w, cw in outs:
                 prev = self.d.get(z, {}).get(w, {})
-                tot = vec_add(prev, compose(cw, bz, th), p, scale)
+                tot = vec_add(prev, compose(cw, bz, memo), p, scale)
                 self._del_entry(z, w)
                 self._set_entry(z, w, tot)
         for tr in self.tracks:
@@ -672,7 +726,7 @@ class _Scan:
             if vy:
                 for w, cw in outs:
                     tot = tr.vec.setdefault(w, {})
-                    add_into(tot, compose(cw, vy, th).items(), p, scale)
+                    add_into(tot, compose(cw, vy, memo).items(), p, scale)
                     if not tot:
                         del tr.vec[w]
             tr.vec.pop(x, None)
@@ -690,23 +744,27 @@ class _Scan:
         del self.gens[y]
         self.side.pop(x, None)
         self.side.pop(y, None)
+        return [(z, w) for z, _ in ins for w, _ in outs]
 
-    def _eliminate_all(self) -> None:
-        again = True
-        while again:
-            again = False
-            for x in sorted(self.d):
-                row = self.d.get(x)
-                if not row:
-                    continue
-                for y in sorted(row):
-                    u = self._iso_scalar(x, y, row[y])
-                    if u is not None:
-                        self._eliminate(x, y, u)
-                        again = True
-                        break
-                if again:
-                    break
+    def _eliminate_all(self, memo: _SurfaceMemo) -> None:
+        """Eliminate the smallest iso entry (x, y) until none is left.
+
+        The heap holds every entry not yet checked since it was last
+        written.  An entry's iso test reads only its morphism and the rawq
+        of its two ends, which never change, so a rejected entry stays
+        rejected until an elimination rewrites it and pushes it again.
+        """
+        heap = [(x, y) for x, row in self.d.items() for y in row]
+        heapify(heap)
+        while heap:
+            x, y = heappop(heap)
+            m = self.d.get(x, {}).get(y)
+            if m is None:
+                continue
+            u = self._iso_scalar(x, y, m)
+            if u is not None:
+                for pair in self._eliminate(x, y, u, memo):
+                    heappush(heap, pair)
 
     # -- export
 

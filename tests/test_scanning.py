@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import weakref
 
 import pytest
 
+from khovanov_cables import scanning
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import (
@@ -173,3 +175,129 @@ def test_disjoint_union_and_loops_through_the_sweep():
     lone = braid_closure(BraidWord(2, (1, 1, 1)))
     lone = lone.with_free_loop()
     assert homology_table(lone, th) == CubeComplex(lone, th).cx.homology_dims()
+
+
+# elimination order and the per-attach surface memo
+
+
+def restart_sweep_eliminate_all(self, memo):
+    """Reference order: sweep (x, y) sorted, restarting after each elimination."""
+    again = True
+    while again:
+        again = False
+        for x in sorted(self.d):
+            row = self.d.get(x)
+            if not row:
+                continue
+            for y in sorted(row):
+                u = self._iso_scalar(x, y, row[y])
+                if u is not None:
+                    self._eliminate(x, y, u, memo)
+                    again = True
+                    break
+            if again:
+                break
+
+
+def exported(res):
+    cx = res.complex
+    return cx.grading, cx.cols, res.cycles, res.girth, res.split
+
+
+def seeded_scans(seed, count):
+    """(diagram, theory, options): random 2-3 strand closures, split or carrying cycles."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        D = braid_closure(random_braid(rng, rng.randint(2, 3), rng.randint(3, 9)))
+        for th in (khovanov(3), lee_deformation(3), bar_natan_deformation(3)):
+            out.append((D, th, {"split_at": rng.choice(sorted(D.crossings))}))
+        for th in (lee_deformation(3), bar_natan_deformation(3)):
+            out.append((D, th, {"orientations": all_orientations(D)}))
+    return out
+
+
+def test_heap_elimination_matches_the_restart_sweep(monkeypatch):
+    cases = seeded_scans(4099, 8)
+    heap = [exported(scan_complex(D, th, **kw)) for D, th, kw in cases]
+    monkeypatch.setattr(scanning._Scan, "_eliminate_all", restart_sweep_eliminate_all)
+    for (D, th, kw), got in zip(cases, heap):
+        assert got == exported(scan_complex(D, th, **kw)), (D.crossings.keys(), th, kw)
+
+
+def test_elimination_takes_the_smallest_iso_entry_first():
+    # Scalar entries between empty tangles; an entry is iso when rawq drops
+    # by one.  Cancelling (x1, y1) writes the iso (z, w), which sorts before
+    # the iso (x2, w) that competes with it for w.
+    survivors = []
+    for eliminate_all in (scanning._Scan._eliminate_all, restart_sweep_eliminate_all):
+        sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
+        sc.gens.clear()
+        z, x1, y1, w, x2 = (sc._new_gen({}, 0, rawq, ()) for rawq in (2, 1, 0, 1, 2))
+        for src, dst in ((z, y1), (x1, y1), (x1, w), (x2, w)):
+            sc._set_entry(src, dst, {frozenset(): 1})
+        eliminate_all(sc, scanning._SurfaceMemo(sc.th))
+        survivors.append((sorted(sc.gens), sc.d))
+    assert survivors[0] == survivors[1] == ([x2], {})
+
+
+class NeverStores(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+class UnstoredMemo(scanning._SurfaceMemo):
+    def __init__(self, th):
+        super().__init__(th)
+        self.glued, self.capped, self.lifted, self.circles = (NeverStores() for _ in range(4))
+
+
+def test_memo_hits_equal_fresh_computation(monkeypatch):
+    glue = scanning._glue
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return glue(*args)
+
+    monkeypatch.setattr(scanning, "_glue", counted)
+    cases = seeded_scans(1733, 4)
+    cases.append((braid_closure(BraidWord(3, (1, -2) * 3)), khovanov(3), {}))
+    memoized = [exported(scan_complex(D, th, **kw)) for D, th, kw in cases]
+    memoized_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(scanning, "_SurfaceMemo", UnstoredMemo)
+    for (D, th, kw), got in zip(cases, memoized):
+        assert got == exported(scan_complex(D, th, **kw)), (D.crossings.keys(), th, kw)
+    assert len(calls) > memoized_calls > 0
+
+
+class TrackedTable(dict):
+    pass
+
+
+def test_memo_is_dropped_when_attach_returns(monkeypatch):
+    alive = []
+
+    class TrackedMemo(scanning._SurfaceMemo):
+        def __init__(self, th):
+            super().__init__(th)
+            self.glued, self.capped, self.lifted, self.circles = (TrackedTable() for _ in range(4))
+            tables = (self.glued, self.capped, self.lifted, self.circles)
+            alive.extend(weakref.ref(obj) for obj in (self, *tables))
+
+    attach = scanning._Scan.attach
+    attached = []
+
+    def checked(self, *args, **kwargs):
+        attach(self, *args, **kwargs)
+        attached.append(self)
+        assert alive and not [r for r in alive if r() is not None]
+
+    monkeypatch.setattr(scanning, "_SurfaceMemo", TrackedMemo)
+    monkeypatch.setattr(scanning._Scan, "attach", checked)
+    D = braid_closure(BraidWord(2, (1, 1, 1)))
+    res = scan_complex(D, lee_deformation(3), orientations=[frozenset()], split_at=min(D.crossings))
+    assert res.cycles and len(attached) == len(D.crossings)
+    assert len(alive) == 5 * len(D.crossings)
+    assert not [r for r in alive if r() is not None]

@@ -1,4 +1,5 @@
-"""Source checks: no shadowed definitions, no dangling console scripts."""
+"""Source checks: no shadowed definitions, no module-level caches, no dangling
+console scripts."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,77 @@ def _duplicates(path):
 def test_no_name_is_defined_twice_in_one_body():
     found = [d for path in sorted(SRC.rglob("*.py")) for d in _duplicates(path)]
     assert not found, found
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _callee(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _empty_container(node):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    if isinstance(node, ast.Call) and _callee(node) in CONTAINERS:
+        return _callee(node) == "defaultdict" or not (node.args or node.keywords)
+    return False
+
+
+def _module_caches(path):
+    """functools caches anywhere, and module or class names bound to an empty container."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += [
+                f"{path.name}:{d.lineno} @{_callee(d)}"
+                for d in node.decorator_list
+                if not isinstance(d, ast.Call) and _callee(d) in CACHE_DECORATORS
+            ]
+        elif isinstance(node, ast.Call) and _callee(node) in CACHE_DECORATORS:
+            out.append(f"{path.name}:{node.lineno} {_callee(node)}(...)")
+    bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for node in (stmt for body in bodies for stmt in body):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if _empty_container(node.value):
+                out.append(f"{path.name}:{node.lineno} empty container outliving its calls")
+    return out
+
+
+def test_no_module_level_cache():
+    # A memo that outlives one scan step grows with the whole scan; the
+    # scanning memo lives for one attach and is dropped with it.
+    found = [c for path in sorted(SRC.rglob("*.py")) for c in _module_caches(path)]
+    assert not found, found
+
+
+def test_cache_check_flags_each_form(tmp_path):
+    path = tmp_path / "cached.py"
+    path.write_text(
+        "import functools\n"
+        "from collections import defaultdict\n"
+        "MEMO = {}\n"
+        "SEEN: set = set()\n"
+        "BY_KEY = defaultdict(list)\n"
+        "TABLE = {1: 2}\n"
+        "class Holder:\n"
+        "    shared = []\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(x):\n"
+        "    local = {}\n"
+        "    return x\n"
+        "@functools.cache\n"
+        "def g(x):\n"
+        "    return x\n"
+        "h = functools.lru_cache(g)\n"
+    )
+    flagged = {int(line.split()[0].split(":")[1]) for line in _module_caches(path)}
+    assert flagged == {3, 4, 5, 8, 9, 13, 16}
 
 
 def test_console_scripts_resolve_to_source_modules():

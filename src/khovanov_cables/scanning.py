@@ -29,13 +29,21 @@ of the corresponding circle of the fully resolved diagram, and every
 elimination projects the coordinates exactly as the matrix-level reduction
 in chain_algebra does.
 
-Elimination always cancels the smallest iso entry (x, y) first, ordered by
-generator ids; a heap of the entries written since they were last checked
-finds it without sweeping the whole differential again.  The surface
-normalizations of one attachment (gluing, capping, lifting and counting
-boundary circles) are memoized on unit coefficients in a _SurfaceMemo that
-the attachment creates and drops: entries repeat heavily within one
-attachment, while a memo kept for a whole scan would grow with it.
+Elimination cancels the cheapest iso entry (x, y) first: the one whose
+cancellation makes the fewest compositions, (entries into y - 1) times
+(entries out of x - 1), as Bar-Natan's local Gaussian elimination does to
+limit fill-in.  A lazy min-heap of (cost, x, y) finds it: a popped entry
+whose cost has grown since it was pushed goes back with its current cost,
+and ties fall to the smaller (x, y), so the order is deterministic.
+
+Many generators share one matching: each carries a hashable key of it, and
+one attachment rewires each distinct matching once and builds the lifting
+pieces once per pair of matchings.  The surface normalizations of one
+attachment (gluing, capping, lifting and counting boundary circles) are
+memoized on unit coefficients, and lifting and capping renormalize only the
+parts they touch.  All these tables live in a _SurfaceMemo that the
+attachment creates and drops: entries repeat heavily within one attachment,
+while a memo kept for a whole scan would grow with it.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Sequence
 
-from .chain_algebra import ScalarComplex, Vec, add_into, inv_mod, vec_add
+from .chain_algebra import ScalarComplex, Vec, add_into, inv_mod
 from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
 from .frobenius import Label, Theory
 from .planar import ResolvedState
@@ -75,7 +83,10 @@ class _SurfaceMemo:
     (partition, arc, label), the lifted partition of (pieces, partition),
     and the boundary-circle count of a frozen arc set.  A caller scales a
     (partition, c0) result by its own coefficient, which is exact because
-    p is prime and neither factor is zero.
+    p is prime and neither factor is zero.  Two more tables serve the
+    attachment itself: rewired maps a matching key to what the crossing
+    makes of that matching, and lifts maps a (key, key, eps) pair of
+    matchings to its lifting pieces and their table in lifted.
     """
 
     def __init__(self, th: Theory):
@@ -84,6 +95,8 @@ class _SurfaceMemo:
         self.capped: dict = {}
         self.lifted: dict = {}
         self.circles: dict = {}
+        self.rewired: dict = {}
+        self.lifts: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +140,17 @@ def _part_boundary_circles(arcs: frozenset) -> int:
     return beta
 
 
-def _rebuild(parts: list, memo: _SurfaceMemo):
+def _rebuild(parts: list, memo: _SurfaceMemo, kept: Iterable = ()):
     """Genus-normalize working parts and fold closed ones into a unit scalar.
 
-    Returns (partition, c0): the result is c0 times the partition, and
-    partition is None when it is zero.
+    kept holds stored parts, already normalized, that join the result as
+    they are.  Returns (partition, c0): the result is c0 times the
+    partition, and partition is None when it is zero.
     """
     th = memo.th
     p = th.p
     coeff = 1
-    frozen = []
+    frozen = list(kept)
     for arcs, label, chi in parts:
         if label == (0, 0):
             return None, 0
@@ -221,17 +235,16 @@ def compose(later: Morphism, earlier: Morphism, memo: _SurfaceMemo) -> Morphism:
 
 
 def _cap(partition: Partition, arc: Arc, cap_label: Label, memo: _SurfaceMemo):
-    th = memo.th
+    kept = []
     working = []
-    hit = False
-    for arcs, label, chi in partition:
+    for part in partition:
+        arcs, label, chi = part
         if arc in arcs:
-            hit = True
-            working.append((set(arcs) - {arc}, th.mul(label, cap_label), chi + 1))
+            working.append((arcs - {arc}, memo.th.mul(label, cap_label), chi + 1))
         else:
-            working.append((set(arcs), label, chi))
-    assert hit, "capped arc is not on the boundary"
-    return _rebuild(working, memo)
+            kept.append(part)
+    assert working, "capped arc is not on the boundary"
+    return _rebuild(working, memo, kept)
 
 
 def mor_cap(m: Morphism, arc: Arc, cap_label: Label, memo: _SurfaceMemo) -> Morphism:
@@ -388,23 +401,41 @@ def _apply_piece(parts: list, piece: _Piece, th: Theory) -> list:
 
 
 def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo):
-    working = [(set(arcs), label, chi) for arcs, label, chi in partition]
+    """Glue the pieces on; only parts that meet a glue point are rebuilt."""
+    points = frozenset().union(*(piece.glue_points for piece in pieces))
+    kept = []
+    working = []
+    for part in partition:
+        arcs, label, chi = part
+        if any(_is_strand(key) and (key & points) for _, key in arcs):
+            working.append((set(arcs), label, chi))
+        else:
+            kept.append(part)
     for piece in pieces:
         working = _apply_piece(working, piece, memo.th)
-    return _rebuild(working, memo)
+    return _rebuild(working, memo, kept)
 
 
-def _lift_morphism(m: Morphism, pieces: tuple, memo: _SurfaceMemo) -> Morphism:
-    lifted = memo.lifted.get(pieces)
-    if lifted is None:
-        lifted = memo.lifted[pieces] = {}
+def _lift_table(pieces: tuple, memo: _SurfaceMemo) -> dict:
+    """The memo of lifts through pieces, shared by every equal pieces tuple."""
+    table = memo.lifted.get(pieces)
+    if table is None:
+        table = memo.lifted[pieces] = {}
+    return table
+
+
+def _lift_morphism(m: Morphism, pieces: tuple, table: dict, memo: _SurfaceMemo) -> Morphism:
     out: Morphism = {}
     for partition, coeff in m.items():
-        hit = lifted.get(partition)
+        hit = table.get(partition)
         if hit is None:
-            hit = lifted[partition] = _lift(partition, pieces, memo)
+            hit = table[partition] = _lift(partition, pieces, memo)
         add_into(out, (hit,), memo.th.p, coeff)
     return out
+
+
+def _matching_key(matching: dict) -> frozenset:
+    return frozenset(matching.items())
 
 
 def _identity_parts(matching: dict) -> list:
@@ -478,6 +509,7 @@ class _Gen:
     rawh: int
     rawq: int
     circles: tuple
+    key: frozenset  # _matching_key(matching); delooped children share it
 
 
 @dataclass
@@ -515,15 +547,17 @@ class _Scan:
         self.scanned: set = set()
         self.girth = 0
         self._serial = 0
-        g0 = self._new_gen({}, 0, 0, ())
+        g0 = self._new_gen({}, 0, 0, (), _matching_key({}))
         unit: Morphism = {frozenset(): 1}
         for tr in tracks:
             tr.vec = {g0: dict(unit)}
 
-    def _new_gen(self, matching: dict, rawh: int, rawq: int, circles: tuple) -> int:
+    def _new_gen(
+        self, matching: dict, rawh: int, rawq: int, circles: tuple, key: frozenset
+    ) -> int:
         gid = self._serial
         self._serial += 1
-        self.gens[gid] = _Gen(matching, rawh, rawq, circles)
+        self.gens[gid] = _Gen(matching, rawh, rawq, circles, key)
         return gid
 
     def _set_entry(self, x: int, y: int, m: Morphism) -> None:
@@ -559,13 +593,30 @@ class _Scan:
             for eps in (0, 1)
         }
         prior_open = frozenset(self.open)
+        self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
+        glue = frozenset(e for e in set(slot_edges) if e in prior_open)
 
-        info = {
-            gid: {
-                eps: _rewire(g.matching, arcs_by_eps[eps], cid) for eps in (0, 1)
-            }
-            for gid, g in self.gens.items()
-        }
+        def rewired(g: _Gen) -> tuple:
+            """Per eps (matching, ops, circles, key), then the saddle (pt, c0)."""
+            hit = memo.rewired.get(g.key)
+            if hit is None:
+                sides = []
+                for eps in (0, 1):
+                    M2, ops, circ = _rewire(g.matching, arcs_by_eps[eps], cid)
+                    sides.append((M2, ops, tuple(circ), _matching_key(M2)))
+                piece = _Piece(1 - len(self_edges), glue, sides[0][1], sides[1][1])
+                working = _apply_piece(_identity_parts(g.matching), piece, th)
+                hit = memo.rewired[g.key] = (*sides, _rebuild(working, memo))
+            return hit
+
+        def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
+            """(pieces, table) lifting a morphism gx -> gy through the crossing."""
+            key = (gx.key, gy.key, eps)
+            hit = memo.lifts.get(key)
+            if hit is None:
+                pieces = _lift_pieces(rewired(gx)[eps][1], rewired(gy)[eps][1])
+                hit = memo.lifts[key] = (pieces, _lift_table(pieces, memo))
+            return hit
 
         newid = {}
         old_gens = self.gens
@@ -573,8 +624,8 @@ class _Scan:
         for gid in sorted(old_gens):
             g = old_gens[gid]
             for eps in (0, 1):
-                M2, _, circ = info[gid][eps]
-                ng = self._new_gen(M2, g.rawh + eps, g.rawq, tuple(circ))
+                M2, _, circ, key = rewired(g)[eps]
+                ng = self._new_gen(M2, g.rawh + eps, g.rawq, circ, key)
                 newid[(gid, eps)] = ng
                 if record_side:
                     self.side[ng] = eps
@@ -583,20 +634,17 @@ class _Scan:
         self.d = {}
         self.rin = {}
         for x, row in old_d.items():
+            gx = old_gens[x]
             for y, m in row.items():
+                gy = old_gens[y]
                 for eps in (0, 1):
-                    pieces = _lift_pieces(info[x][eps][1], info[y][eps][1])
-                    m2 = _lift_morphism(m, pieces, memo)
+                    m2 = _lift_morphism(m, *lift(gx, gy, eps), memo)
                     self._set_entry(newid[(x, eps)], newid[(y, eps)], m2)
 
-        self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
-        glue = frozenset(e for e in set(slot_edges) if e in prior_open)
         for gid in sorted(old_gens):
             g = old_gens[gid]
-            piece = _Piece(1 - len(self_edges), glue, info[gid][0][1], info[gid][1][1])
-            working = _apply_piece(_identity_parts(g.matching), piece, th)
             sign = 1 if g.rawh % 2 == 0 else self.p - 1
-            pt, c0 = _rebuild(working, memo)
+            pt, c0 = rewired(g)[2]
             if pt is not None:
                 self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
 
@@ -621,8 +669,8 @@ class _Scan:
                     caps.append((op[1], tr.labels_by_eid[op[2]]))
             newvec = {}
             for gid, v in tr.vec.items():
-                pieces = _lift_pieces(rops, info[gid][eps][1])
-                v2 = _lift_morphism(v, pieces, memo)
+                pieces = _lift_pieces(rops, rewired(old_gens[gid])[eps][1])
+                v2 = _lift_morphism(v, pieces, _lift_table(pieces, memo), memo)
                 for marker, lab in caps:
                     v2 = mor_cap(v2, ("s", marker), lab, memo)
                 if v2:
@@ -656,8 +704,8 @@ class _Scan:
                 continue
             marker, rest = g.circles[0], g.circles[1:]
             th, p = self.th, self.p
-            gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest)
-            gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest)
+            gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key)
+            gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key)
             if gid in self.side:
                 eps = self.side.pop(gid)
                 self.side[gp] = eps
@@ -710,17 +758,22 @@ class _Scan:
     def _eliminate(self, x: int, y: int, u: int, memo: _SurfaceMemo) -> list:
         """Cancel the iso entry (x, y); returns the pairs (z, w) it rewrote."""
         p = self.p
+        d, rin = self.d, self.rin
         scale = (-inv_mod(u, p)) % p
-        ins = [
-            (z, self.d[z][y]) for z in sorted(self.rin.get(y, set())) if z != x
-        ]
-        outs = [(w, m) for w, m in sorted(self.d.get(x, {}).items()) if w != y]
+        ins = [(z, d[z][y]) for z in sorted(rin[y]) if z != x]
+        outs = [(w, m) for w, m in sorted(d[x].items()) if w != y]
         for z, bz in ins:
+            row = d[z]
             for w, cw in outs:
-                prev = self.d.get(z, {}).get(w, {})
-                tot = vec_add(prev, compose(cw, bz, memo), p, scale)
-                self._del_entry(z, w)
-                self._set_entry(z, w, tot)
+                # row keeps its entry at y and rin[w] its x until the end,
+                # so neither container empties here
+                tot = add_into(row.get(w, {}), compose(cw, bz, memo).items(), p, scale)
+                if tot:
+                    row[w] = tot
+                    rin[w].add(z)
+                elif w in row:
+                    del row[w]
+                    rin[w].discard(z)
         for tr in self.tracks:
             vy = tr.vec.get(y)
             if vy:
@@ -746,25 +799,43 @@ class _Scan:
         self.side.pop(y, None)
         return [(z, w) for z, _ in ins for w, _ in outs]
 
-    def _eliminate_all(self, memo: _SurfaceMemo) -> None:
-        """Eliminate the smallest iso entry (x, y) until none is left.
+    def _cost(self, x: int, y: int) -> int:
+        """Compositions that cancelling (x, y) makes."""
+        return (len(self.rin[y]) - 1) * (len(self.d[x]) - 1)
 
-        The heap holds every entry not yet checked since it was last
-        written.  An entry's iso test reads only its morphism and the rawq
-        of its two ends, which never change, so a rejected entry stays
-        rejected until an elimination rewrites it and pushes it again.
+    def _eliminate_all(self, memo: _SurfaceMemo) -> None:
+        """Eliminate the cheapest iso entry (x, y) until none is left.
+
+        The heap holds (cost, x, y) for iso entries, with the cost they had
+        when pushed.  An entry's iso test reads only its morphism and the
+        rawq of its two ends, which never change, so an entry turns iso only
+        when an elimination rewrites it, and is pushed then.  Costs move as
+        eliminations rewrite rows and columns: a popped entry that is gone
+        or no longer iso is skipped, and one whose cost has grown goes back
+        with its current cost.
         """
-        heap = [(x, y) for x, row in self.d.items() for y in row]
+        d = self.d
+        heap = [
+            (self._cost(x, y), x, y)
+            for x, row in d.items()
+            for y, m in row.items()
+            if self._iso_scalar(x, y, m) is not None
+        ]
         heapify(heap)
         while heap:
-            x, y = heappop(heap)
-            m = self.d.get(x, {}).get(y)
-            if m is None:
+            cost, x, y = heappop(heap)
+            m = d.get(x, {}).get(y)
+            u = None if m is None else self._iso_scalar(x, y, m)
+            if u is None:
                 continue
-            u = self._iso_scalar(x, y, m)
-            if u is not None:
-                for pair in self._eliminate(x, y, u, memo):
-                    heappush(heap, pair)
+            now = self._cost(x, y)
+            if now > cost:
+                heappush(heap, (now, x, y))
+                continue
+            for z, w in self._eliminate(x, y, u, memo):
+                m = d.get(z, {}).get(w)
+                if m is not None and self._iso_scalar(z, w, m) is not None:
+                    heappush(heap, (self._cost(z, w), z, w))
 
     # -- export
 

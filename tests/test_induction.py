@@ -9,7 +9,9 @@ from khovanov_cables.induction import (
     audit_family,
     duplicate_partner,
     entry_word,
+    inclusion_report,
     ladder,
+    slice_drop_report,
     smoothed_component_count,
     strand_width,
 )
@@ -64,3 +66,18 @@ def test_unknot_audit_levels_zero_and_one():
         assert not rec.problems
         assert rec.status in ("scanned", "duplicate")
         assert rec.vanishing_ok and rec.top_match_ok, rec.entry.label()
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_unknot_inclusion_is_injective(level):
+    report = inclusion_report(UNKNOT, level)
+    assert report.ok(), report.problems
+    assert report.injective and report.rank == report.sub_dim > 0
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_unknot_slice_drop_is_verified(level):
+    report = slice_drop_report(UNKNOT, "unknot", level)
+    assert report.status == "verified", report
+    assert report.s_companion == 0
+    assert report.s_cable == report.expected == -2 * level

@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from khovanov_cables import scanning
-from khovanov_cables.braids import BraidWord, braid_closure, random_braid
+from khovanov_cables.braids import BraidWord, braid_closure, cable_word, random_braid
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import (
     bar_natan_deformation,
@@ -181,7 +181,8 @@ def test_disjoint_union_and_loops_through_the_sweep():
 
 
 def restart_sweep_eliminate_all(self, memo):
-    """Reference order: sweep (x, y) sorted, restarting after each elimination."""
+    """Oracle: the smallest iso (x, y) first, by a sorted sweep restarted after
+    each elimination; it must give the same homology as the cheapest-first rule."""
     again = True
     while again:
         again = False
@@ -217,28 +218,92 @@ def seeded_scans(seed, count):
     return out
 
 
-def test_heap_elimination_matches_the_restart_sweep(monkeypatch):
+def homology_view(res):
+    """What the elimination order may not change: homology of the export and
+    of the split blocks, and each transported cycle's degree and level."""
+    cx = res.complex
+    view = [cx.homology_dims(), res.girth]
+    if res.split is not None:
+        # entries never leave the one side, so it is the sub, zero the quotient
+        view += [cx.restrict(res.split[side]).homology_dims() for side in ("one", "zero")]
+    for o, v in sorted(res.cycles.items(), key=lambda item: sorted(item[0])):
+        view.append((o, {cx.grading[g][0] for g in v}, cx.filtration_level(v)))
+    return view
+
+
+def test_cheapest_first_agrees_with_the_restart_sweep_on_homology(monkeypatch):
     cases = seeded_scans(4099, 8)
-    heap = [exported(scan_complex(D, th, **kw)) for D, th, kw in cases]
+    cheapest = [homology_view(scan_complex(D, th, **kw)) for D, th, kw in cases]
     monkeypatch.setattr(scanning._Scan, "_eliminate_all", restart_sweep_eliminate_all)
-    for (D, th, kw), got in zip(cases, heap):
-        assert got == exported(scan_complex(D, th, **kw)), (D.crossings.keys(), th, kw)
+    for (D, th, kw), got in zip(cases, cheapest):
+        assert got == homology_view(scan_complex(D, th, **kw)), (D.crossings.keys(), th, kw)
 
 
-def test_elimination_takes_the_smallest_iso_entry_first():
+def test_elimination_takes_the_cheapest_iso_entry_first():
     # Scalar entries between empty tangles; an entry is iso when rawq drops
-    # by one.  Cancelling (x1, y1) writes the iso (z, w), which sorts before
-    # the iso (x2, w) that competes with it for w.
+    # by one.  The isos (x1, y) and (x2, y) compete for y.  (x1, y) sorts
+    # first, but cancelling it composes x2 -> y -> x1 -> w, while (x2, y)
+    # makes no composition.
     survivors = []
     for eliminate_all in (scanning._Scan._eliminate_all, restart_sweep_eliminate_all):
         sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
         sc.gens.clear()
-        z, x1, y1, w, x2 = (sc._new_gen({}, 0, rawq, ()) for rawq in (2, 1, 0, 1, 2))
-        for src, dst in ((z, y1), (x1, y1), (x1, w), (x2, w)):
+        x1, x2, y, w = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (1, 1, 0, 3))
+        for src, dst in ((x1, y), (x2, y), (x1, w)):
             sc._set_entry(src, dst, {frozenset(): 1})
         eliminate_all(sc, scanning._SurfaceMemo(sc.th))
         survivors.append((sorted(sc.gens), sc.d))
-    assert survivors[0] == survivors[1] == ([x2], {})
+    assert survivors[0] == ([x1, w], {x1: {w: {frozenset(): 1}}})
+    assert survivors[1] == ([x2, w], {x2: {w: {frozenset(): 2}}})
+
+
+def test_an_entry_whose_cost_grew_goes_back_on_the_heap():
+    # (c, yc), (x, ya) and (x, yb) are iso, at costs 3, 3 and 4.  The tie
+    # goes to (c, yc), whose cancellation writes z -> ya for the three z and
+    # so raises the cost of (x, ya) to 5.  Taken at its stale cost, (x, ya)
+    # would cancel ya; pushed back, it loses to (x, yb), which cancels yb.
+    sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
+    sc.gens.clear()
+    c, yc, x, ya, yb = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (5, 4, 1, 0, 0))
+    others = [sc._new_gen({}, 0, 9, (), frozenset()) for _ in range(9)]
+    zs, as_, bs = others[:3], others[3:5], others[5:]
+    pairs = [(c, yc), (c, ya), (x, ya), (x, yb)]
+    pairs += [(z, yc) for z in zs] + [(a, ya) for a in as_] + [(b, yb) for b in bs]
+    for src, dst in pairs:
+        sc._set_entry(src, dst, {frozenset(): 1})
+    sc._eliminate_all(scanning._SurfaceMemo(sc.th))
+    assert sorted(sc.gens) == sorted([ya, *others])
+    assert sc.rin[ya] == {*zs, *as_, *bs}
+
+
+def test_cheapest_first_makes_fewer_compositions(monkeypatch):
+    compose = scanning.compose
+    eliminate = scanning._Scan._eliminate
+    counts = {"compose": 0, "eliminate": 0}
+
+    def counted_compose(*args):
+        counts["compose"] += 1
+        return compose(*args)
+
+    def counted_eliminate(self, *args):
+        counts["eliminate"] += 1
+        return eliminate(self, *args)
+
+    monkeypatch.setattr(scanning, "compose", counted_compose)
+    monkeypatch.setattr(scanning._Scan, "_eliminate", counted_eliminate)
+    D = braid_closure(cable_word(BraidWord(2, (-1,) * 7), 2))
+    runs = []
+    for eliminate_all in (scanning._Scan._eliminate_all, restart_sweep_eliminate_all):
+        monkeypatch.setattr(scanning._Scan, "_eliminate_all", eliminate_all)
+        counts.update(compose=0, eliminate=0)
+        dim = scan_complex(D, khovanov(3)).complex.dim
+        runs.append((counts["compose"], counts["eliminate"], dim))
+    (cheap, n_cheap, dim_cheap), (sweep, n_sweep, dim_sweep) = runs
+    assert cheap < sweep
+    assert (n_cheap, dim_cheap) == (n_sweep, dim_sweep)
+
+
+TABLES = ("glued", "capped", "lifted", "circles", "rewired", "lifts")
 
 
 class NeverStores(dict):
@@ -249,7 +314,8 @@ class NeverStores(dict):
 class UnstoredMemo(scanning._SurfaceMemo):
     def __init__(self, th):
         super().__init__(th)
-        self.glued, self.capped, self.lifted, self.circles = (NeverStores() for _ in range(4))
+        for name in TABLES:
+            setattr(self, name, NeverStores())
 
 
 def test_memo_hits_equal_fresh_computation(monkeypatch):
@@ -282,9 +348,9 @@ def test_memo_is_dropped_when_attach_returns(monkeypatch):
     class TrackedMemo(scanning._SurfaceMemo):
         def __init__(self, th):
             super().__init__(th)
-            self.glued, self.capped, self.lifted, self.circles = (TrackedTable() for _ in range(4))
-            tables = (self.glued, self.capped, self.lifted, self.circles)
-            alive.extend(weakref.ref(obj) for obj in (self, *tables))
+            for name in TABLES:
+                setattr(self, name, TrackedTable())
+            alive.extend(weakref.ref(obj) for obj in (self, *(getattr(self, n) for n in TABLES)))
 
     attach = scanning._Scan.attach
     attached = []
@@ -299,5 +365,5 @@ def test_memo_is_dropped_when_attach_returns(monkeypatch):
     D = braid_closure(BraidWord(2, (1, 1, 1)))
     res = scan_complex(D, lee_deformation(3), orientations=[frozenset()], split_at=min(D.crossings))
     assert res.cycles and len(attached) == len(D.crossings)
-    assert len(alive) == 5 * len(D.crossings)
+    assert len(alive) == (1 + len(TABLES)) * len(D.crossings)
     assert not [r for r in alive if r() is not None]

@@ -298,17 +298,23 @@ class ScalarComplex:
         return dims
 
     def homology_dims(self) -> dict:
-        """Ranks of homology: {(h, q): dim} when q-exact, else {h: dim}."""
-        if self.q_exact:
+        """Ranks of homology: {(h, q): dim} when q-exact, else {h: dim}.
+
+        The dense ranks run on a simplified copy, so the blocks they see
+        are the reduced ones; the complex itself is left as it is.
+        """
+        red = self.copy()
+        red.simplify()
+        if red.q_exact:
             byq: dict[int, list[int]] = {}
-            for g, (_, q) in self.grading.items():
+            for g, (_, q) in red.grading.items():
                 byq.setdefault(q, []).append(g)
             out: dict[tuple[int, int], int] = {}
             for q in sorted(byq):
-                for h, d in self._block_homology(byq[q]).items():
+                for h, d in red._block_homology(byq[q]).items():
                     out[(h, q)] = d
             return out
-        return self._block_homology(list(self.grading))
+        return red._block_homology(list(red.grading))
 
     # simplification
 

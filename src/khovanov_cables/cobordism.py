@@ -542,7 +542,6 @@ class ConeSlices:
     cx: ScalarComplex
     sub_ids: frozenset[int]
     quot_ids: frozenset[int]
-    cycles: dict | None = None
 
     def sub_complex(self) -> ScalarComplex:
         return self.cx.restrict(self.sub_ids)
@@ -567,14 +566,12 @@ def cone_over_crossing(
     theory: Theory,
     cid: int,
     flips: frozenset[int] = frozenset(),
-    orientations=None,
 ) -> ConeSlices:
-    """Scan the diagram, attaching `cid` last without elimination, and
-    package the result as a cone.  Scales to diagrams far beyond the
-    full cube."""
-    res = scan_complex(
-        D, theory, flips=flips, orientations=orientations, split_at=cid
-    )
+    """Scan the diagram, attaching `cid` last, and package the result as a
+    cone.  Elimination at `cid` stays within each smoothing's side, so
+    the sub and quotient blocks come out already reduced.  Scales to
+    diagrams far beyond the full cube."""
+    res = scan_complex(D, theory, flips=flips, split_at=cid)
     sub = frozenset(res.split["one"])
     quot = frozenset(res.split["zero"])
     assert sub.isdisjoint(quot)
@@ -583,7 +580,7 @@ def cone_over_crossing(
         assert all(t in sub for t in res.complex.cols[g]), (
             "differential escaped the 1-smoothing side"
         )
-    return ConeSlices(theory, res.complex, sub, quot, res.cycles)
+    return ConeSlices(theory, res.complex, sub, quot)
 
 
 def cone_from_cube(
@@ -789,7 +786,6 @@ def skein_triangle(
     theories=None,
     flips: frozenset[int] = frozenset(),
     p: int = 3,
-    orientations=None,
 ) -> SkeinTriangle:
     if theories is None:
         theories = (khovanov(p), lee_deformation(p), bar_natan_deformation(p))
@@ -803,9 +799,7 @@ def skein_triangle(
             resolved[r] = None
     shifts = block_shifts(D, cid, flips, resolved=resolved)
     cones = {
-        theory_label(t): cone_over_crossing(
-            D, t, cid, flips=flips, orientations=orientations
-        )
+        theory_label(t): cone_over_crossing(D, t, cid, flips=flips)
         for t in theories
     }
     return SkeinTriangle(

@@ -217,26 +217,23 @@ class LinkDiagram:
             frozenset(l for l, k in self.component_of_loop().items() if k in flips),
         )
 
-    def incoming_slots(self, cid: int, flips: frozenset[int]) -> dict[int, int]:
-        """Map slot -> 1 if the strand arrives at the crossing there under the
-        orientation that reverses the components in `flips`."""
+    def signs(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
+        """Sign of every crossing under the orientation that reverses the
+        components in `flips`."""
         comp = self.component_of_edge()
         out: dict[int, int] = {}
-        for s, (eid, idx) in enumerate(self.crossings[cid].slots):
-            arriving = (idx == 1) != (comp[eid] in flips)
-            out[s] = 1 if arriving else 0
+        for cid, x in self.crossings.items():
+            # a strand arrives at a slot when the edge ends there (idx 1),
+            # unless its component is reversed
+            inc = [(idx == 1) != (comp[eid] in flips) for eid, idx in x.slots]
+            over = [s for s in (x.over_diag, x.over_diag + 2) if inc[s % 4]]
+            under = [s for s in ((x.over_diag + 1) % 4, (x.over_diag + 3) % 4) if inc[s % 4]]
+            assert len(over) == 1 and len(under) == 1, "bad incoming structure at crossing"
+            out[cid] = 1 if (over[0] - under[0]) % 4 == 3 else -1
         return out
 
     def crossing_sign(self, cid: int, flips: frozenset[int] = frozenset()) -> int:
-        x = self.crossings[cid]
-        inc = self.incoming_slots(cid, flips)
-        over = [s for s in (x.over_diag, x.over_diag + 2) if inc[s % 4]]
-        under = [s for s in ((x.over_diag + 1) % 4, (x.over_diag + 3) % 4) if inc[s % 4]]
-        assert len(over) == 1 and len(under) == 1, "bad incoming structure at crossing"
-        return 1 if (over[0] - under[0]) % 4 == 3 else -1
-
-    def signs(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
-        return {c: self.crossing_sign(c, flips) for c in self.crossings}
+        return self.signs(flips)[cid]
 
     def writhe(self, flips: frozenset[int] = frozenset()) -> int:
         return sum(self.signs(flips).values())
@@ -256,6 +253,7 @@ class LinkDiagram:
         """Total linking number between two disjoint sets of components."""
         assert not (comps_a & comps_b)
         comp = self.component_of_edge()
+        signs = self.signs(flips)
         total = 0
         for cid, x in self.crossings.items():
             over = comp[x.slots[x.over_diag][0]]
@@ -263,7 +261,7 @@ class LinkDiagram:
             if (over in comps_a and under in comps_b) or (
                 over in comps_b and under in comps_a
             ):
-                total += self.crossing_sign(cid, flips)
+                total += signs[cid]
         assert total % 2 == 0
         return total // 2
 

@@ -473,13 +473,8 @@ def audit_entry(
     if e.tail >= 1:
         cid = max(D.crossings)
         cone = cone_over_crossing(D, th, cid)
-        sub_cx = cone.sub_complex()
-        sub_cx.simplify()
-        t_sub = sub_cx.homology_dims()
-        quot_cx = cone.quot_complex()
-        quot_cx.simplify()
-        t_quot = quot_cx.homology_dims()
-        cone.cx.simplify()
+        t_sub = cone.sub_complex().homology_dims()
+        t_quot = cone.quot_complex().homology_dims()
         dims = cone.cx.homology_dims()
 
         # the resolved block against the already-scanned next level down,
@@ -651,8 +646,8 @@ def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> Inclus
     h0 = top_grading(m2)
     cone = cone_over_crossing(D, th, cid)
 
-    sub_raw = cone.sub_complex()
-    S = HomologySpace(sub_raw, h0)
+    sub_cx = cone.sub_complex()
+    S = HomologySpace(sub_cx, h0)
     A = HomologySpace(cone.cx, h0)
     mat = induced_matrix(cone.include, S, A)
     rk = rank(mat, cone.cx.p)
@@ -660,8 +655,6 @@ def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> Inclus
     if not injective:
         problems.append(f"inclusion rank {rk} below block dimension {S.dim}")
 
-    sub_cx = cone.sub_complex()
-    sub_cx.simplify()
     t_sub = sub_cx.homology_dims()
     small = family_diagram(base, LadderEntry(0, m1, 2 * m1, 2 * m1))
     n_under = smoothed_component_count(D, cid, 1)

@@ -22,12 +22,20 @@ The width of the sweep (the largest number of open edges, over the chosen
 crossing order) governs the cost, not the crossing number.
 
 Distinguished cycles can be carried through the sweep.  Such a cycle is
-stored per generator as a surface from a reference tangle (the partially
-assembled resolution picked out by an orientation) into that generator;
-whenever a reference circle closes, it is capped with the canonical label
-of the corresponding circle of the fully resolved diagram, and every
-elimination projects the coordinates exactly as the matrix-level reduction
-in chain_algebra does.
+one more row of the differential, keyed by a reference id that is never a
+generator: its entries are surfaces from a reference tangle (the partially
+assembled resolution picked out by an orientation) into the generators.
+Attaching lifts the row like any other and caps each reference circle that
+closes with the canonical label of the corresponding circle of the fully
+resolved diagram; delooping and elimination treat it as an incoming row,
+which projects the coordinates exactly as the matrix-level reduction in
+chain_algebra does.  The reference id is no generator, so it is never a
+pivot.
+
+A split scan marks every generator with its smoothing (its side) at one
+crossing, and delooped children keep their parent's side.  Elimination
+there cancels only entries between generators on the same side, which
+keeps the one side a subcomplex and the zero side the quotient.
 
 Elimination cancels the cheapest iso entry (x, y) first: the one whose
 cancellation makes the fewest compositions, (entries into y - 1) times
@@ -416,14 +424,6 @@ def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo):
     return _rebuild(working, memo, kept)
 
 
-def _lift_table(pieces: tuple, memo: _SurfaceMemo) -> dict:
-    """The memo of lifts through pieces, shared by every equal pieces tuple."""
-    table = memo.lifted.get(pieces)
-    if table is None:
-        table = memo.lifted[pieces] = {}
-    return table
-
-
 def _lift_morphism(m: Morphism, pieces: tuple, table: dict, memo: _SurfaceMemo) -> Morphism:
     out: Morphism = {}
     for partition, coeff in m.items():
@@ -510,19 +510,24 @@ class _Gen:
     rawq: int
     circles: tuple
     key: frozenset  # _matching_key(matching); delooped children share it
+    side: int | None = None  # smoothing at the split crossing; children keep it
 
 
 @dataclass
 class _Track:
-    """A distinguished cycle carried through the sweep for one orientation."""
+    """A distinguished cycle carried through the sweep for one orientation.
+
+    The cycle is the differential row keyed by ref, from the reference
+    tangle R into the generators.
+    """
 
     flips: frozenset
+    ref: int
     ro: dict
     labels_by_eid: dict
     loop_labels: dict
     R: dict = field(default_factory=dict)
     strand_min: dict = field(default_factory=dict)
-    vec: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -534,30 +539,31 @@ class ScanResult:
 
 
 class _Scan:
-    def __init__(self, D: LinkDiagram, theory: Theory, tracks: list):
+    def __init__(self, D: LinkDiagram, theory: Theory, orientations: Sequence[frozenset]):
         self.D = D
         self.th = theory
         self.p = theory.p
         self.gens: dict = {}
         self.d: dict = {}
         self.rin: dict = {}
-        self.side: dict = {}
-        self.tracks = tracks
         self.open: set = set()
         self.scanned: set = set()
         self.girth = 0
         self._serial = 0
         g0 = self._new_gen({}, 0, 0, (), _matching_key({}))
-        unit: Morphism = {frozenset(): 1}
-        for tr in tracks:
-            tr.vec = {g0: dict(unit)}
+        self.tracks = []
+        for flips in orientations:
+            tr = _make_track(D, theory, flips, self._serial)
+            self._serial += 1
+            self._set_entry(tr.ref, g0, {frozenset(): 1})
+            self.tracks.append(tr)
 
     def _new_gen(
-        self, matching: dict, rawh: int, rawq: int, circles: tuple, key: frozenset
+        self, matching: dict, rawh: int, rawq: int, circles: tuple, key: frozenset, side=None
     ) -> int:
         gid = self._serial
         self._serial += 1
-        self.gens[gid] = _Gen(matching, rawh, rawq, circles, key)
+        self.gens[gid] = _Gen(matching, rawh, rawq, circles, key, side)
         return gid
 
     def _set_entry(self, x: int, y: int, m: Morphism) -> None:
@@ -580,7 +586,12 @@ class _Scan:
 
     # -- attaching one crossing
 
-    def attach(self, cid: int, eliminate: bool = True, record_side: bool = False):
+    def attach(self, cid: int, split: bool = False):
+        """Attach one crossing, deloop and eliminate.
+
+        With split, every new generator records its smoothing at cid as its
+        side; otherwise it keeps the side of the generator it came from.
+        """
         D, th = self.D, self.th
         memo = _SurfaceMemo(th)
         cr = D.crossings[cid]
@@ -610,12 +621,16 @@ class _Scan:
             return hit
 
         def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
-            """(pieces, table) lifting a morphism gx -> gy through the crossing."""
+            """(pieces, table) lifting a morphism gx -> gy through the crossing.
+
+            The table memoizes lifts through pieces and is shared by every
+            equal pieces tuple.
+            """
             key = (gx.key, gy.key, eps)
             hit = memo.lifts.get(key)
             if hit is None:
                 pieces = _lift_pieces(rewired(gx)[eps][1], rewired(gy)[eps][1])
-                hit = memo.lifts[key] = (pieces, _lift_table(pieces, memo))
+                hit = memo.lifts[key] = (pieces, memo.lifted.setdefault(pieces, {}))
             return hit
 
         newid = {}
@@ -625,32 +640,16 @@ class _Scan:
             g = old_gens[gid]
             for eps in (0, 1):
                 M2, _, circ, key = rewired(g)[eps]
-                ng = self._new_gen(M2, g.rawh + eps, g.rawq, circ, key)
-                newid[(gid, eps)] = ng
-                if record_side:
-                    self.side[ng] = eps
+                side = eps if split else g.side
+                newid[(gid, eps)] = self._new_gen(M2, g.rawh + eps, g.rawq, circ, key, side)
 
-        old_d = self.d
-        self.d = {}
-        self.rin = {}
-        for x, row in old_d.items():
-            gx = old_gens[x]
-            for y, m in row.items():
-                gy = old_gens[y]
-                for eps in (0, 1):
-                    m2 = _lift_morphism(m, *lift(gx, gy, eps), memo)
-                    self._set_entry(newid[(x, eps)], newid[(y, eps)], m2)
-
-        for gid in sorted(old_gens):
-            g = old_gens[gid]
-            sign = 1 if g.rawh % 2 == 0 else self.p - 1
-            pt, c0 = rewired(g)[2]
-            if pt is not None:
-                self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
-
+        # a tracked row follows its orientation's smoothing, from the
+        # reference tangle before this crossing to the one after it
+        refs = {}
         for tr in self.tracks:
             eps = tr.ro[cid]
-            newR, rops, _ = _rewire(tr.R, arcs_by_eps[eps], cid)
+            g_ref = _Gen(tr.R, 0, 0, (), _matching_key(tr.R))
+            tr.R, rops = rewired(g_ref)[eps][:2]
             caps = []
             for op in rops:
                 kind = op[0]
@@ -667,16 +666,33 @@ class _Scan:
                     caps.append((op[2], tr.labels_by_eid[eid]))
                 elif kind == "selfcircle":
                     caps.append((op[1], tr.labels_by_eid[op[2]]))
-            newvec = {}
-            for gid, v in tr.vec.items():
-                pieces = _lift_pieces(rops, rewired(old_gens[gid])[eps][1])
-                v2 = _lift_morphism(v, pieces, _lift_table(pieces, memo), memo)
-                for marker, lab in caps:
-                    v2 = mor_cap(v2, ("s", marker), lab, memo)
-                if v2:
-                    newvec[newid[(gid, eps)]] = v2
-            tr.R = newR
-            tr.vec = newvec
+            refs[tr.ref] = (g_ref, eps, caps)
+
+        old_d = self.d
+        self.d = {}
+        self.rin = {}
+        for x, row in old_d.items():
+            if x in refs:
+                g_ref, eps, caps = refs[x]
+                for y, m in row.items():
+                    m2 = _lift_morphism(m, *lift(g_ref, old_gens[y], eps), memo)
+                    for marker, lab in caps:
+                        m2 = mor_cap(m2, ("s", marker), lab, memo)
+                    self._set_entry(x, newid[(y, eps)], m2)
+                continue
+            gx = old_gens[x]
+            for y, m in row.items():
+                gy = old_gens[y]
+                for eps in (0, 1):
+                    m2 = _lift_morphism(m, *lift(gx, gy, eps), memo)
+                    self._set_entry(newid[(x, eps)], newid[(y, eps)], m2)
+
+        for gid in sorted(old_gens):
+            g = old_gens[gid]
+            sign = 1 if g.rawh % 2 == 0 else self.p - 1
+            pt, c0 = rewired(g)[2]
+            if pt is not None:
+                self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
 
         self.scanned.add(cid)
         for e in set(slot_edges):
@@ -690,8 +706,7 @@ class _Scan:
         self.girth = max(self.girth, len(self.open))
 
         self._deloop_all(memo)
-        if eliminate:
-            self._eliminate_all(memo)
+        self._eliminate_all(memo)
 
     # -- delooping
 
@@ -704,12 +719,8 @@ class _Scan:
                 continue
             marker, rest = g.circles[0], g.circles[1:]
             th, p = self.th, self.p
-            gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key)
-            gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key)
-            if gid in self.side:
-                eps = self.side.pop(gid)
-                self.side[gp] = eps
-                self.side[gm] = eps
+            gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key, g.side)
+            gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key, g.side)
             pi_plus = ((-th.h) % p, 1)
             pi_minus = (1, 0)
             for w in sorted(self.rin.get(gid, set())):
@@ -721,15 +732,6 @@ class _Scan:
                 self._del_entry(gid, z)
                 self._set_entry(gp, z, mor_cap(m, ("s", marker), (1, 0), memo))
                 self._set_entry(gm, z, mor_cap(m, ("s", marker), (0, 1), memo))
-            for tr in self.tracks:
-                if gid in tr.vec:
-                    v = tr.vec.pop(gid)
-                    vp = mor_cap(v, ("t", marker), pi_plus, memo)
-                    vm = mor_cap(v, ("t", marker), pi_minus, memo)
-                    if vp:
-                        tr.vec[gp] = vp
-                    if vm:
-                        tr.vec[gm] = vm
             del self.gens[gid]
             if rest:
                 queue.append(gp)
@@ -738,7 +740,13 @@ class _Scan:
     # -- elimination
 
     def _iso_scalar(self, x: int, y: int, m: Morphism):
-        if self.gens[y].rawq != self.gens[x].rawq - 1:
+        """The unit u of an iso entry (x, y), else None.
+
+        A tracked row's x is no generator, and a split scan cancels only
+        within one side.
+        """
+        gx, gy = self.gens.get(x), self.gens[y]
+        if gx is None or gx.side != gy.side or gy.rawq != gx.rawq - 1:
             return None
         if len(m) != 1:
             return None
@@ -774,16 +782,6 @@ class _Scan:
                 elif w in row:
                     del row[w]
                     rin[w].discard(z)
-        for tr in self.tracks:
-            vy = tr.vec.get(y)
-            if vy:
-                for w, cw in outs:
-                    tot = tr.vec.setdefault(w, {})
-                    add_into(tot, compose(cw, vy, memo).items(), p, scale)
-                    if not tot:
-                        del tr.vec[w]
-            tr.vec.pop(x, None)
-            tr.vec.pop(y, None)
         for z, _ in ins:
             self._del_entry(z, y)
         for w, _ in outs:
@@ -795,8 +793,6 @@ class _Scan:
             self._del_entry(y, z)
         del self.gens[x]
         del self.gens[y]
-        self.side.pop(x, None)
-        self.side.pop(y, None)
         return [(z, w) for z, _ in ins for w, _ in outs]
 
     def _cost(self, x: int, y: int) -> int:
@@ -808,11 +804,11 @@ class _Scan:
 
         The heap holds (cost, x, y) for iso entries, with the cost they had
         when pushed.  An entry's iso test reads only its morphism and the
-        rawq of its two ends, which never change, so an entry turns iso only
-        when an elimination rewrites it, and is pushed then.  Costs move as
-        eliminations rewrite rows and columns: a popped entry that is gone
-        or no longer iso is skipped, and one whose cost has grown goes back
-        with its current cost.
+        rawq and side of its two ends, which never change, so an entry turns
+        iso only when an elimination rewrites it, and is pushed then.  Costs
+        move as eliminations rewrite rows and columns: a popped entry that is
+        gone or no longer iso is skipped, and one whose cost has grown goes
+        back with its current cost.
         """
         d = self.d
         heap = [
@@ -857,6 +853,8 @@ class _Scan:
                 q = g.rawq + sum(sigma) + g.rawh + nplus - 2 * nminus
                 ids[(gid, sigma)] = cx.add_generator(h, q)
         for x, row in self.d.items():
+            if x not in self.gens:
+                continue  # a tracked cycle's row
             for y, m in row.items():
                 if not m:
                     continue
@@ -868,7 +866,7 @@ class _Scan:
         cycles = {}
         for tr in self.tracks:
             v: Vec = {}
-            for gid, m in tr.vec.items():
+            for gid, m in self.d.get(tr.ref, {}).items():
                 assert set(m) == {frozenset()}
                 base = m[frozenset()]
                 for sigma in signs:
@@ -881,21 +879,17 @@ class _Scan:
             cycles[tr.flips] = v
 
         split = None
-        if self.side:
+        if any(g.side is not None for g in self.gens.values()):
             split = {"zero": [], "one": []}
             for gid in sorted(self.gens):
-                if gid not in self.side:
-                    continue
-                key = "zero" if self.side[gid] == 0 else "one"
+                key = "zero" if self.gens[gid].side == 0 else "one"
                 for sigma in signs:
                     split[key].append(ids[(gid, sigma)])
         return ScanResult(cx, cycles, self.girth, split)
 
 
-def _make_track(D: LinkDiagram, th: Theory, flips: frozenset) -> _Track:
-    ro = {
-        cid: 0 if D.crossing_sign(cid, flips) > 0 else 1 for cid in D.crossings
-    }
+def _make_track(D: LinkDiagram, th: Theory, flips: frozenset, ref: int) -> _Track:
+    ro = D.oriented_smoothings(flips)
     st = ResolvedState(D, ro)
     labels_by_eid: dict = {}
     loop_labels: dict = {}
@@ -906,7 +900,7 @@ def _make_track(D: LinkDiagram, th: Theory, flips: frozenset) -> _Track:
         else:
             for eid in circ.edges:
                 labels_by_eid[eid] = lab
-    return _Track(flips, ro, labels_by_eid, loop_labels)
+    return _Track(flips, ref, ro, labels_by_eid, loop_labels)
 
 
 def scan_complex(
@@ -922,10 +916,10 @@ def scan_complex(
     flips fixes the orientation used for the grading shifts.  orientations
     lists the orientations whose distinguished cycles should be transported;
     the result maps each to a vector in the returned complex.  split_at
-    names a crossing to attach last without elimination, so the generators
-    coming from its two smoothings stay visible (reported in .split).
+    names a crossing to attach last, keeping the generators from its two
+    smoothings apart: .split lists them, the one side a subcomplex and the
+    zero side its quotient, each reduced by elimination on its own.
     """
-    tracks = [_make_track(D, theory, o) for o in (orientations or [])]
     if order is None:
         if split_at is None:
             order, _ = scan_order(D)
@@ -935,10 +929,9 @@ def scan_complex(
     order = list(order)
     if sorted(order) != sorted(D.crossings):
         raise ValueError("order must list every crossing exactly once")
-    sc = _Scan(D, theory, tracks)
+    sc = _Scan(D, theory, orientations or [])
     for cid in order:
-        last = split_at is not None and cid == split_at
-        sc.attach(cid, eliminate=not last, record_side=last)
+        sc.attach(cid, split=cid == split_at)
     return sc.finish(flips)
 
 

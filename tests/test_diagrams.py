@@ -128,6 +128,46 @@ def test_flipped_signs():
     assert D.oriented_smoothings(frozenset({0})) == {c: 1 for c in D.crossings}
 
 
+def test_signs_writhe_and_linking_under_every_flip_set():
+    rng = Random(4410)
+    for _ in range(12):
+        w = random_braid(rng, rng.randint(2, 4), rng.randint(1, 9))
+        D = braid_closure(w)
+        comp = D.component_of_edge()
+        ends = {
+            c: (comp[x.slots[x.over_diag][0]], comp[x.slots[(x.over_diag + 1) % 4][0]])
+            for c, x in D.crossings.items()
+        }
+        # the closure makes one crossing per letter, in order, signed like it
+        base = D.signs()
+        assert base == {c: 1 if l > 0 else -1 for c, l in zip(sorted(D.crossings), w.letters)}
+        k = len(D.components())
+        for bits in product((0, 1), repeat=k):
+            flips = frozenset(i for i, b in enumerate(bits) if b)
+            signs = D.signs(flips)
+            # reversing exactly one strand of a crossing reverses its sign
+            assert signs == {
+                c: base[c] * (-1) ** ((a in flips) + (b in flips)) for c, (a, b) in ends.items()
+            }
+            assert {c: D.crossing_sign(c, flips) for c in D.crossings} == signs
+            values = list(signs.values())
+            assert D.writhe(flips) == sum(values)
+            assert (D.n_plus(flips), D.n_minus(flips)) == (values.count(1), values.count(-1))
+            assert D.oriented_smoothings(flips) == {c: (1 - s) // 2 for c, s in signs.items()}
+            lk = {
+                (a, b): D.linking_number({a}, {b}, flips)
+                for a in range(k)
+                for b in range(a + 1, k)
+            }
+            for (a, b), v in lk.items():
+                assert v == D.linking_number({a}, {b}) * (-1) ** ((a in flips) + (b in flips))
+            own = sum(s for c, s in signs.items() if ends[c][0] == ends[c][1])
+            assert D.writhe(flips) == own + 2 * sum(lk.values())
+            assert D.linking_number(flips, set(range(k)) - flips, flips) == sum(
+                v for (a, b), v in lk.items() if (a in flips) != (b in flips)
+            )
+
+
 def test_multi_piece_closure():
     # two separated pieces plus two untouched strands
     D = closure(1, 1, 4, 4, strands=6)

@@ -8,6 +8,7 @@ import pytest
 
 from khovanov_cables import scanning
 from khovanov_cables.braids import BraidWord, braid_closure, cable_word, random_braid
+from khovanov_cables.cobordism import cone_from_cube
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import (
     bar_natan_deformation,
@@ -164,6 +165,39 @@ def test_split_still_computes_the_right_homology():
         th = khovanov(3)
         res = scan_complex(D, th, split_at=cid)
         assert res.complex.homology_dims() == CubeComplex(D, th).cx.homology_dims()
+
+
+def test_split_and_tracked_scan_matches_the_cube():
+    # every orientation carried through a split scan (the deformed theories
+    # only: Khovanov's double root has no canonical cycles): elimination
+    # stays within each side, each block keeps the cube's homology, and
+    # each cycle the cube's degree and level
+    rng = random.Random(2718)
+    for _ in range(12):
+        w = random_braid(rng, rng.randint(2, 3), rng.randint(2, 6))
+        D = braid_closure(w)
+        cid = rng.choice(sorted(D.crossings))
+        for th in (khovanov(3), lee_deformation(3), bar_natan_deformation(3)):
+            ors = [] if th.q_exact else all_orientations(D)
+            res = scan_complex(D, th, orientations=ors, split_at=cid)
+            cx = res.complex
+            one = set(res.split["one"])
+            for x, col in cx.cols.items():
+                for y in col:
+                    # at export an entry is iso exactly when it keeps q
+                    assert (x in one) != (y in one) or cx.grading[x][1] != cx.grading[y][1], (
+                        w.letters, th, x, y,
+                    )
+            cube = CubeComplex(D, th)
+            cone = cone_from_cube(D, th, cid)
+            assert cx.homology_dims() == cone.cx.homology_dims()
+            assert cx.restrict(one).homology_dims() == cone.sub_complex().homology_dims()
+            assert cx.restrict(res.split["zero"]).homology_dims() == cone.quot_complex().homology_dims()
+            for o in ors:
+                v, want = res.cycles[o], cube.canonical_cycle(o)
+                assert cx.apply_d(v) == {}
+                assert {cx.grading[g][0] for g in v} <= {cube.cx.grading[g][0] for g in want}
+                assert cx.filtration_level(v) == cube.cx.filtration_level(want), (th, o)
 
 
 def test_disjoint_union_and_loops_through_the_sweep():

@@ -54,3 +54,20 @@ def test_tracer_resolves_and_restores_every_name():
     after = package_bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_traced_split_and_tracked_scan_counts_its_sizes():
+    # the tracer reads the scan object's gens and d after each attach
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    D = braid_closure(BraidWord(3, (1, -2, 1, -2, 1)))
+    try:
+        tracing.install(tracer)
+        scanning.scan_complex(
+            D, lee_deformation(3), orientations=[frozenset()], split_at=max(D.crossings)
+        )
+    finally:
+        tracer.uninstall()
+    for name in ("peak_gens", "peak_entries", "final_gens"):
+        assert tracer.counts.get(f"scanning.{name}", 0) > 0, name
+    assert tracer.stats["scanning.attach"][0] == len(D.crossings)

@@ -44,10 +44,20 @@ limit fill-in.  A lazy min-heap of (cost, x, y) finds it: a popped entry
 whose cost has grown since it was pushed goes back with its current cost,
 and ties fall to the smaller (x, y), so the order is deterministic.
 
+Surfaces are stored by the boundary points each component touches.  An open
+point (an open edge e) is the bit 1 << e of an int, and a closed circle not
+yet capped is the bit 1 << (2*cid + k) for the k-th smoothing arc of
+crossing cid.  Every open point carries one source arc and one target arc of
+the same component, so a component's points are a union of cycles of the
+source and target matchings: together with those two matchings they name
+its whole strand boundary, and its boundary circles are the cycles inside
+its points plus its circle bits.  Gluing, lifting and capping are then a few
+bit operations on small ints.
+
 Many generators share one matching: each carries a hashable key of it, and
 one attachment rewires each distinct matching once and builds the lifting
 pieces once per pair of matchings.  The surface normalizations of one
-attachment (gluing, capping, lifting and counting boundary circles) are
+attachment (gluing, capping, lifting and counting boundary cycles) are
 memoized on unit coefficients, and lifting and capping renormalize only the
 parts they touch.  All these tables live in a _SurfaceMemo that the
 attachment creates and drops: entries repeat heavily within one attachment,
@@ -59,125 +69,118 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chain_algebra import ScalarComplex, Vec, add_into, inv_mod
-from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
-from .frobenius import Label, Theory
+from .diagrams import LinkDiagram, smoothing_pairs
+from .frobenius import Theory
 from .planar import ResolvedState
 
-# A boundary arc of a surface: ('s'|'t', key) on the source or target side.
-# key is a frozenset of two open-edge ids for a strand still attached to the
-# boundary, or a ('circ', cid, k) tuple marking a closed circle that has not
-# been capped yet.
-Arc = tuple
-# A connected surface component: (frozenset of arcs, algebra label, Euler
-# characteristic).  Stored parts are genus-normalized.
+# A connected surface component: (points, source circles, target circles,
+# algebra label, Euler characteristic), the first three bitmasks.  What a
+# part means depends on the source and target matchings of the morphism
+# that holds it.  Stored parts are genus-normalized.
 Part = tuple
 Partition = frozenset
 # Formal sum of decorated partitions: {partition: coefficient mod p}.
 Morphism = dict
 
 
-def _is_strand(key) -> bool:
-    return isinstance(key, frozenset)
-
-
 class _SurfaceMemo:
     """Unit-coefficient surface results, shared by the calls of one attach.
 
-    Each table maps a key to what the plain function returned for it: the
-    glued partition of (earlier, later), the capped partition of
-    (partition, arc, label), the lifted partition of (pieces, partition),
-    and the boundary-circle count of a frozen arc set.  A caller scales a
-    (partition, c0) result by its own coefficient, which is exact because
-    p is prime and neither factor is zero.  Two more tables serve the
-    attachment itself: rewired maps a matching key to what the crossing
-    makes of that matching, and lifts maps a (key, key, eps) pair of
-    matchings to its lifting pieces and their table in lifted.
+    A partition reads through the matchings of its morphism, so every table
+    whose result depends on them has the matching keys in its key.  glued
+    maps (earlier, later, source key, target key) to the composite, capped
+    maps (partition, source bit, target bit, label) to the capped partition
+    (capping keeps the genus, so it needs no matchings), and cycles maps a
+    (source key, target key) pair to the point masks of the cycles of those
+    two matchings.  A caller scales a (partition, c0) result by its own
+    coefficient, which is exact because p is prime and neither factor is
+    zero.  Two more tables serve the attachment itself: rewired maps a
+    matching key to what the crossing makes of that matching, and lifts
+    maps a (key, key, eps) pair of matchings to its lifting pieces, the
+    cycles of the lifted matchings and a table of lifted partitions.
     """
 
     def __init__(self, th: Theory):
         self.th = th
         self.glued: dict = {}
         self.capped: dict = {}
-        self.lifted: dict = {}
-        self.circles: dict = {}
+        self.cycles: dict = {}
         self.rewired: dict = {}
         self.lifts: dict = {}
+
+    def cycles_of(self, ks: frozenset, kt: frozenset) -> tuple:
+        hit = self.cycles.get((ks, kt))
+        if hit is None:
+            hit = self.cycles[(ks, kt)] = _cycles(ks, kt)
+        return hit
 
 
 # ---------------------------------------------------------------------------
 # part and partition normalization
 
 
-def _part_boundary_circles(arcs: frozenset) -> int:
-    """Number of boundary circles of a part.
-
-    Strand arcs pair up into closed cycles (every point carries exactly one
-    source arc and one target arc, joined along the vertical line over the
-    point), and each uncapped circle marker is one more boundary circle.
-    """
-    beta = 0
-    src: dict = {}
-    tgt: dict = {}
-    for side, key in arcs:
-        if not _is_strand(key):
-            beta += 1
-            continue
-        a, b = tuple(key)
-        table = src if side == "s" else tgt
-        for pt in (a, b):
-            assert pt not in table, "point with two arcs on one side"
-        table[a] = b
-        table[b] = a
-    assert set(src) == set(tgt), "part boundary is not saturated"
-    seen: set = set()
+def _cycles(ks: frozenset, kt: frozenset) -> tuple:
+    """Point masks of the cycles that two matchings, by key, make together."""
+    src, tgt = dict(ks), dict(kt)
+    out = []
+    seen = 0
     for start in src:
-        if start in seen:
+        if seen >> start & 1:
             continue
-        beta += 1
+        mask = 0
         pt = start
-        while True:
-            seen.add(pt)
+        while not mask >> pt & 1:
             mid = src[pt]
-            seen.add(mid)
+            mask |= 1 << pt | 1 << mid
             pt = tgt[mid]
-            if pt == start:
-                break
-    return beta
+        seen |= mask
+        out.append(mask)
+    return tuple(out)
 
 
-def _rebuild(parts: list, memo: _SurfaceMemo, kept: Iterable = ()):
+def _strand_circles(points: int, cycles: tuple) -> int:
+    """Boundary circles through a part's points, which must be whole cycles."""
+    n = 0
+    cover = 0
+    for c in cycles:
+        if c & points:
+            n += 1
+            cover |= c
+    assert cover == points, "part is not a union of cycles"
+    return n
+
+
+def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
     """Genus-normalize working parts and fold closed ones into a unit scalar.
 
-    kept holds stored parts, already normalized, that join the result as
-    they are.  Returns (partition, c0): the result is c0 times the
-    partition, and partition is None when it is zero.
+    cycles are those of the result's matchings.  kept holds stored parts,
+    already normalized, that join the result as they are.  Returns
+    (partition, c0): the result is c0 times the partition, and partition is
+    None when it is zero.
     """
     th = memo.th
     p = th.p
     coeff = 1
     frozen = list(kept)
-    for arcs, label, chi in parts:
+    for points, cs, ct, label, chi in parts:
         if label == (0, 0):
             return None, 0
-        arcs = frozenset(arcs)
-        beta = memo.circles.get(arcs)
-        if beta is None:
-            beta = memo.circles[arcs] = _part_boundary_circles(arcs)
+        beta = _strand_circles(points, cycles) + cs.bit_count() + ct.bit_count()
         slack = 2 - chi - beta
         assert slack >= 0 and slack % 2 == 0, "part has impossible topology"
         if slack:
             label = th.mul(label, th.label_pow(th.handle(), slack // 2))
             if label == (0, 0):
                 return None, 0
-        if not arcs:
+        if not (points or cs or ct):
             coeff = coeff * th.counit(label) % p
             if coeff == 0:
                 return None, 0
             continue
-        frozen.append((arcs, label, 2 - beta))
+        frozen.append((points, cs, ct, label, 2 - beta))
     return frozenset(frozen), coeff
 
 
@@ -185,112 +188,122 @@ def _rebuild(parts: list, memo: _SurfaceMemo, kept: Iterable = ()):
 # morphism arithmetic
 
 
-def _glue(pt_e: Partition, pt_t: Partition, memo: _SurfaceMemo):
-    """Glue the target boundary of one partition to the source of another."""
+def _glue(pt_e: Partition, pt_t: Partition, memo: _SurfaceMemo, ks: frozenset, kt: frozenset):
+    """Glue the target boundary of one partition to the source of another.
+
+    Parts that share a point join along its middle strand.  Each middle
+    strand glued shut is an interval, one for every two points of a part of
+    pt_e.  ks and kt are the keys of the outer matchings.
+    """
     th = memo.th
-    parts = [*pt_e, *pt_t]
-    off = len(pt_e)
-
-    mid_e: dict = {}
-    mid_t: dict = {}
-    for i, (arcs, _, _) in enumerate(pt_e):
-        for side, key in arcs:
-            if side == "t":
-                assert _is_strand(key), "uncapped circle at a composition"
-                mid_e[key] = i
-    for j, (arcs, _, _) in enumerate(pt_t):
-        for side, key in arcs:
-            if side == "s":
-                assert _is_strand(key), "uncapped circle at a composition"
-                mid_t[key] = off + j
-    assert set(mid_e) == set(mid_t), "composition boundaries do not match"
-
-    uf = UnionFind(range(len(parts)))
-    for key, i in mid_e.items():
-        uf.union(i, mid_t[key])
-
-    working = []
-    for members in uf.groups().values():
-        arcs: set = set()
-        label: Label = (1, 0)
-        chi = 0
-        for i in members:
-            a, lab, c = parts[i]
-            keep_side = "s" if i < off else "t"
-            kept = {arc for arc in a if arc[0] == keep_side}
-            arcs |= kept
-            label = th.mul(label, lab)
-            chi += c
-            if i < off:
-                # each dropped target arc is one middle strand glued shut
-                chi -= len(a) - len(kept)
-        working.append((arcs, label, chi))
-    return _rebuild(working, memo)
+    groups = []
+    seen = 0
+    for points, cs, ct, label, chi in pt_e:
+        assert not ct, "uncapped circle at a composition"
+        assert not points & seen, "point on two parts"
+        seen |= points
+        groups.append((points, cs, ct, label, chi - points.bit_count() // 2))
+    mid = 0
+    for points, cs, ct, label, chi in pt_t:
+        assert not cs, "uncapped circle at a composition"
+        assert not points & mid, "point on two parts"
+        mid |= points
+        rest = []
+        for g in groups:
+            if g[0] & points:
+                points |= g[0]
+                cs |= g[1]
+                ct |= g[2]
+                label = th.mul(label, g[3])
+                chi += g[4]
+            else:
+                rest.append(g)
+        rest.append((points, cs, ct, label, chi))
+        groups = rest
+    assert mid == seen, "composition boundaries do not match"
+    return _rebuild(groups, memo, memo.cycles_of(ks, kt))
 
 
-def compose(later: Morphism, earlier: Morphism, memo: _SurfaceMemo) -> Morphism:
-    """later after earlier; the middle objects must agree."""
+def compose(
+    later: Morphism, earlier: Morphism, memo: _SurfaceMemo, ks: frozenset, kt: frozenset
+) -> Morphism:
+    """later after earlier; the middle objects must agree.
+
+    ks keys the source matching of earlier, kt the target one of later.
+    """
     glued = memo.glued
+    p = memo.th.p
     out: Morphism = {}
     for pt1, c1 in earlier.items():
         for pt2, c2 in later.items():
-            key = (pt1, pt2)
+            key = (pt1, pt2, ks, kt)
             hit = glued.get(key)
             if hit is None:
-                hit = glued[key] = _glue(pt1, pt2, memo)
-            add_into(out, (hit,), memo.th.p, c1 * c2)
+                hit = glued[key] = _glue(pt1, pt2, memo, ks, kt)
+            add_into(out, (hit,), p, c1 * c2)
     return out
 
 
-def _cap(partition: Partition, arc: Arc, cap_label: Label, memo: _SurfaceMemo):
+def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
+    """Cap the source circle bit cs or the target circle bit ct.
+
+    A disk on a boundary circle keeps the part's genus, so only a part that
+    closes up changes the scalar, by its counit.
+    """
+    th = memo.th
     kept = []
-    working = []
+    capped = None
     for part in partition:
-        arcs, label, chi = part
-        if arc in arcs:
-            working.append((arcs - {arc}, memo.th.mul(label, cap_label), chi + 1))
+        if part[1] & cs or part[2] & ct:
+            capped = part
         else:
             kept.append(part)
-    assert working, "capped arc is not on the boundary"
-    return _rebuild(working, memo, kept)
+    assert capped is not None, "capped circle is not on the boundary"
+    points, pcs, pct, label, chi = capped
+    label = th.mul(label, cap_label)
+    if label == (0, 0):
+        return None, 0
+    pcs &= ~cs
+    pct &= ~ct
+    if points or pcs or pct:
+        kept.append((points, pcs, pct, label, chi + 1))
+        return frozenset(kept), 1
+    c0 = th.counit(label)
+    return (frozenset(kept), c0) if c0 else (None, 0)
 
 
-def mor_cap(m: Morphism, arc: Arc, cap_label: Label, memo: _SurfaceMemo) -> Morphism:
-    """Cap one boundary arc with a labeled disk."""
+def mor_cap(m: Morphism, cs: int, ct: int, cap_label, memo: _SurfaceMemo) -> Morphism:
+    """Cap one circle, source bit cs or target bit ct, with a labeled disk."""
     capped = memo.capped
     out: Morphism = {}
     for partition, coeff in m.items():
-        key = (partition, arc, cap_label)
+        key = (partition, cs, ct, cap_label)
         hit = capped.get(key)
         if hit is None:
-            hit = capped[key] = _cap(partition, arc, cap_label, memo)
+            hit = capped[key] = _cap(partition, cs, ct, cap_label, memo)
         add_into(out, (hit,), memo.th.p, coeff)
     return out
 
 
 # ---------------------------------------------------------------------------
-# attaching a crossing: rewiring ops and surface pieces
-
-
-def _op_consumed(op) -> frozenset:
-    return op[-1]
+# attaching a crossing: rewiring and surface pieces
 
 
 def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
     """Apply the two smoothing arcs of one crossing to an open matching.
 
     matching maps every open point to its partner (both directions).
-    Returns (new matching, per-arc ops, markers of circles that closed).
+    Returns (new matching, steps): one (glue, new, circle) of bitmasks per
+    arc, the open points it consumes, the points it opens and the circle it
+    closes (0 if none).
     """
     M = dict(matching)
-    ops = []
-    circles = []
+    steps = []
     for k, (ea, eb) in enumerate(arcs):
-        marker = ("circ", cid, k)
+        circle = 1 << (2 * cid + k)
         if ea == eb:
             # an edge with both ends at this crossing, closed into a circle
-            ops.append(("selfcircle", marker, ea, frozenset()))
-            circles.append(marker)
+            steps.append((0, 0, circle))
             continue
         a_open = ea in M
         b_open = eb in M
@@ -298,9 +311,7 @@ def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
             if M[ea] == eb:
                 del M[ea]
                 del M[eb]
-                pair = frozenset((ea, eb))
-                ops.append(("close", pair, marker, pair))
-                circles.append(marker)
+                steps.append((1 << ea | 1 << eb, 0, circle))
             else:
                 pa = M.pop(ea)
                 pb = M.pop(eb)
@@ -309,15 +320,7 @@ def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
                 assert pa != pb
                 M[pa] = pb
                 M[pb] = pa
-                ops.append(
-                    (
-                        "merge",
-                        frozenset((ea, pa)),
-                        frozenset((eb, pb)),
-                        frozenset((pa, pb)),
-                        frozenset((ea, eb)),
-                    )
-                )
+                steps.append((1 << ea | 1 << eb, 0, 0))
         elif a_open or b_open:
             eo, en = (ea, eb) if a_open else (eb, ea)
             po = M.pop(eo)
@@ -325,111 +328,70 @@ def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
             assert en not in M
             M[po] = en
             M[en] = po
-            ops.append(
-                ("extend", frozenset((eo, po)), frozenset((po, en)), frozenset((eo,)))
-            )
+            steps.append((1 << eo, 1 << en, 0))
         else:
             M[ea] = eb
             M[eb] = ea
-            ops.append(("new", frozenset((ea, eb)), frozenset()))
-    return M, tuple(ops), circles
+            steps.append((0, 1 << ea | 1 << eb, 0))
+    return M, tuple(steps)
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """One surface piece of an attachment, glued along vertical lines."""
+def _lift_pieces(steps_s: tuple, steps_t: tuple) -> tuple:
+    """Pieces (chi, glue, new, circ_s, circ_t) lifting a morphism through one
+    attachment, glued along the vertical lines over the glue points.
 
-    chi: int
-    glue_points: frozenset
-    ops_s: tuple
-    ops_t: tuple
-
-
-def _lift_pieces(ops_src: tuple, ops_tgt: tuple) -> tuple:
-    """Cylinder pieces lifting a morphism through one attachment.
-
-    Source and target objects receive the same smoothing arcs, so the ops
-    lists align arc by arc and consume the same points.
+    Source and target objects receive the same smoothing arcs on the same
+    open points, so the steps align arc by arc and consume and open the
+    same points; only the circles they close may differ.
     """
     pieces = []
-    for os_, ot in zip(ops_src, ops_tgt):
-        cons = _op_consumed(os_)
-        assert cons == _op_consumed(ot), "lift sides consume different points"
-        chi = 0 if os_[0] == "selfcircle" else 1
-        pieces.append(_Piece(chi, cons, (os_,), (ot,)))
+    for (glue, new, circ_s), (glue_t, new_t, circ_t) in zip(steps_s, steps_t):
+        assert (glue, new) == (glue_t, new_t), "lift sides consume or open different points"
+        # a one-edge circle sweeps out an annulus, any other arc a disk
+        pieces.append((1 if glue | new else 0, glue, new, circ_s, circ_t))
     return tuple(pieces)
 
 
-def _apply_ops(arcs: set, side: str, ops: Iterable) -> None:
-    for op in ops:
-        kind = op[0]
-        if kind == "new":
-            arcs.add((side, op[1]))
-        elif kind == "extend":
-            arcs.remove((side, op[1]))
-            arcs.add((side, op[2]))
-        elif kind == "merge":
-            arcs.remove((side, op[1]))
-            arcs.remove((side, op[2]))
-            arcs.add((side, op[3]))
-        elif kind == "close":
-            arcs.remove((side, op[1]))
-            arcs.add((side, op[2]))
-        elif kind == "selfcircle":
-            arcs.add((side, op[1]))
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-
-
-def _apply_piece(parts: list, piece: _Piece, th: Theory) -> list:
+def _apply_piece(parts: list, piece: tuple, th: Theory) -> list:
     """Glue one piece into a working partition (no normalization)."""
-    touched = []
-    untouched = []
-    for entry in parts:
-        arcs = entry[0]
-        if any(
-            _is_strand(key) and (key & piece.glue_points) for _, key in arcs
-        ):
-            touched.append(entry)
+    chi, glue, new, cs, ct = piece
+    points, label = new, (1, 0)
+    chi -= glue.bit_count()
+    out = []
+    for part in parts:
+        if part[0] & glue:
+            points |= part[0]
+            cs |= part[1]
+            ct |= part[2]
+            label = th.mul(label, part[3])
+            chi += part[4]
         else:
-            untouched.append(entry)
-    if piece.glue_points:
-        assert touched, "gluing points with no incident arcs"
-    arcs: set = set()
-    label: Label = (1, 0)
-    chi = piece.chi - len(piece.glue_points)
-    for a, lab, c in touched:
-        arcs |= a
-        label = th.mul(label, lab)
-        chi += c
-    _apply_ops(arcs, "s", piece.ops_s)
-    _apply_ops(arcs, "t", piece.ops_t)
-    untouched.append((arcs, label, chi))
-    return untouched
+            out.append(part)
+    assert len(out) < len(parts) or not glue, "gluing points with no incident part"
+    out.append((points & ~glue, cs, ct, label, chi))
+    return out
 
 
-def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo):
+def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo, cycles: tuple):
     """Glue the pieces on; only parts that meet a glue point are rebuilt."""
-    points = frozenset().union(*(piece.glue_points for piece in pieces))
+    glue = 0
+    for piece in pieces:
+        glue |= piece[1]
     kept = []
     working = []
     for part in partition:
-        arcs, label, chi = part
-        if any(_is_strand(key) and (key & points) for _, key in arcs):
-            working.append((set(arcs), label, chi))
-        else:
-            kept.append(part)
+        (working if part[0] & glue else kept).append(part)
     for piece in pieces:
         working = _apply_piece(working, piece, memo.th)
-    return _rebuild(working, memo, kept)
+    return _rebuild(working, memo, cycles, kept)
 
 
-def _lift_morphism(m: Morphism, pieces: tuple, table: dict, memo: _SurfaceMemo) -> Morphism:
+def _lift_morphism(m: Morphism, pieces: tuple, cycles: tuple, table: dict, memo: _SurfaceMemo) -> Morphism:
     out: Morphism = {}
     for partition, coeff in m.items():
         hit = table.get(partition)
         if hit is None:
-            hit = table[partition] = _lift(partition, pieces, memo)
+            hit = table[partition] = _lift(partition, pieces, memo, cycles)
         add_into(out, (hit,), memo.th.p, coeff)
     return out
 
@@ -439,8 +401,7 @@ def _matching_key(matching: dict) -> frozenset:
 
 
 def _identity_parts(matching: dict) -> list:
-    pairs = {frozenset((a, b)) for a, b in matching.items()}
-    return [({("s", P), ("t", P)}, (1, 0), 1) for P in pairs]
+    return [(1 << a | 1 << b, 0, 0, (1, 0), 1) for a, b in matching.items() if a < b]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +479,7 @@ class _Track:
     """A distinguished cycle carried through the sweep for one orientation.
 
     The cycle is the differential row keyed by ref, from the reference
-    tangle R into the generators.
+    tangle R (a matching, with its key) into the generators.
     """
 
     flips: frozenset
@@ -527,7 +488,7 @@ class _Track:
     labels_by_eid: dict
     loop_labels: dict
     R: dict = field(default_factory=dict)
-    strand_min: dict = field(default_factory=dict)
+    key: frozenset = frozenset()
 
 
 @dataclass
@@ -551,12 +512,12 @@ class _Scan:
         self.girth = 0
         self._serial = 0
         g0 = self._new_gen({}, 0, 0, (), _matching_key({}))
-        self.tracks = []
+        self.tracks: dict = {}  # ref id -> _Track
         for flips in orientations:
             tr = _make_track(D, theory, flips, self._serial)
             self._serial += 1
             self._set_entry(tr.ref, g0, {frozenset(): 1})
-            self.tracks.append(tr)
+            self.tracks[tr.ref] = tr
 
     def _new_gen(
         self, matching: dict, rawh: int, rawq: int, circles: tuple, key: frozenset, side=None
@@ -603,34 +564,38 @@ class _Scan:
             ]
             for eps in (0, 1)
         }
-        prior_open = frozenset(self.open)
         self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
-        glue = frozenset(e for e in set(slot_edges) if e in prior_open)
+        glue = new = 0
+        for e in set(slot_edges) - self_edges:
+            if e in self.open:
+                glue |= 1 << e
+            else:
+                new |= 1 << e
 
         def rewired(g: _Gen) -> tuple:
-            """Per eps (matching, ops, circles, key), then the saddle (pt, c0)."""
+            """Per eps (matching, steps, circles, key), then the saddle (pt, c0)."""
             hit = memo.rewired.get(g.key)
             if hit is None:
                 sides = []
                 for eps in (0, 1):
-                    M2, ops, circ = _rewire(g.matching, arcs_by_eps[eps], cid)
-                    sides.append((M2, ops, tuple(circ), _matching_key(M2)))
-                piece = _Piece(1 - len(self_edges), glue, sides[0][1], sides[1][1])
-                working = _apply_piece(_identity_parts(g.matching), piece, th)
-                hit = memo.rewired[g.key] = (*sides, _rebuild(working, memo))
+                    M2, steps = _rewire(g.matching, arcs_by_eps[eps], cid)
+                    circ = tuple(c for _, _, c in steps if c)
+                    sides.append((M2, steps, circ, _matching_key(M2)))
+                saddle = (1 - len(self_edges), glue, new, sum(sides[0][2]), sum(sides[1][2]))
+                working = _apply_piece(_identity_parts(g.matching), saddle, th)
+                cycles = memo.cycles_of(sides[0][3], sides[1][3])
+                hit = memo.rewired[g.key] = (*sides, _rebuild(working, memo, cycles))
             return hit
 
         def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
-            """(pieces, table) lifting a morphism gx -> gy through the crossing.
-
-            The table memoizes lifts through pieces and is shared by every
-            equal pieces tuple.
-            """
+            """(pieces, cycles, table) lifting a morphism gx -> gy through the
+            crossing; the table memoizes lifted partitions."""
             key = (gx.key, gy.key, eps)
             hit = memo.lifts.get(key)
             if hit is None:
-                pieces = _lift_pieces(rewired(gx)[eps][1], rewired(gy)[eps][1])
-                hit = memo.lifts[key] = (pieces, memo.lifted.setdefault(pieces, {}))
+                sx, sy = rewired(gx)[eps], rewired(gy)[eps]
+                pieces = _lift_pieces(sx[1], sy[1])
+                hit = memo.lifts[key] = (pieces, memo.cycles_of(sx[3], sy[3]), {})
             return hit
 
         newid = {}
@@ -646,26 +611,16 @@ class _Scan:
         # a tracked row follows its orientation's smoothing, from the
         # reference tangle before this crossing to the one after it
         refs = {}
-        for tr in self.tracks:
+        for tr in self.tracks.values():
             eps = tr.ro[cid]
-            g_ref = _Gen(tr.R, 0, 0, (), _matching_key(tr.R))
-            tr.R, rops = rewired(g_ref)[eps][:2]
-            caps = []
-            for op in rops:
-                kind = op[0]
-                if kind == "new":
-                    tr.strand_min[op[1]] = min(op[1])
-                elif kind == "extend":
-                    tr.strand_min[op[2]] = min(tr.strand_min.pop(op[1]), *op[2])
-                elif kind == "merge":
-                    tr.strand_min[op[3]] = min(
-                        tr.strand_min.pop(op[1]), tr.strand_min.pop(op[2])
-                    )
-                elif kind == "close":
-                    eid = tr.strand_min.pop(op[1])
-                    caps.append((op[2], tr.labels_by_eid[eid]))
-                elif kind == "selfcircle":
-                    caps.append((op[1], tr.labels_by_eid[op[2]]))
+            g_ref = _Gen(tr.R, 0, 0, (), tr.key)
+            tr.R, steps, _, tr.key = rewired(g_ref)[eps]
+            # an arc that closes a circle lies on it, and so do its edges
+            caps = [
+                (circle, tr.labels_by_eid[ea])
+                for (_, _, circle), (ea, _) in zip(steps, arcs_by_eps[eps])
+                if circle
+            ]
             refs[tr.ref] = (g_ref, eps, caps)
 
         old_d = self.d
@@ -676,8 +631,8 @@ class _Scan:
                 g_ref, eps, caps = refs[x]
                 for y, m in row.items():
                     m2 = _lift_morphism(m, *lift(g_ref, old_gens[y], eps), memo)
-                    for marker, lab in caps:
-                        m2 = mor_cap(m2, ("s", marker), lab, memo)
+                    for circle, lab in caps:
+                        m2 = mor_cap(m2, circle, 0, lab, memo)
                     self._set_entry(x, newid[(y, eps)], m2)
                 continue
             gx = old_gens[x]
@@ -717,7 +672,7 @@ class _Scan:
             g = self.gens.get(gid)
             if g is None or not g.circles:
                 continue
-            marker, rest = g.circles[0], g.circles[1:]
+            circle, rest = g.circles[0], g.circles[1:]
             th, p = self.th, self.p
             gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key, g.side)
             gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key, g.side)
@@ -726,12 +681,12 @@ class _Scan:
             for w in sorted(self.rin.get(gid, set())):
                 m = self.d[w][gid]
                 self._del_entry(w, gid)
-                self._set_entry(w, gp, mor_cap(m, ("t", marker), pi_plus, memo))
-                self._set_entry(w, gm, mor_cap(m, ("t", marker), pi_minus, memo))
+                self._set_entry(w, gp, mor_cap(m, 0, circle, pi_plus, memo))
+                self._set_entry(w, gm, mor_cap(m, 0, circle, pi_minus, memo))
             for z, m in list(self.d.get(gid, {}).items()):
                 self._del_entry(gid, z)
-                self._set_entry(gp, z, mor_cap(m, ("s", marker), (1, 0), memo))
-                self._set_entry(gm, z, mor_cap(m, ("s", marker), (0, 1), memo))
+                self._set_entry(gp, z, mor_cap(m, circle, 0, (1, 0), memo))
+                self._set_entry(gm, z, mor_cap(m, circle, 0, (0, 1), memo))
             del self.gens[gid]
             if rest:
                 queue.append(gp)
@@ -742,8 +697,10 @@ class _Scan:
     def _iso_scalar(self, x: int, y: int, m: Morphism):
         """The unit u of an iso entry (x, y), else None.
 
-        A tracked row's x is no generator, and a split scan cancels only
-        within one side.
+        An iso is a unit times the identity: every part a disk on two points
+        (so on one source and one target arc, the same), with no circles and
+        a unit label.  A tracked row's x is no generator, and a split scan
+        cancels only within one side.
         """
         gx, gy = self.gens.get(x), self.gens[y]
         if gx is None or gx.side != gy.side or gy.rawq != gx.rawq - 1:
@@ -752,16 +709,16 @@ class _Scan:
             return None
         (pt, c), = m.items()
         scalar = c
-        for arcs, label, chi in pt:
-            if label[1] != 0 or label[0] == 0:
-                return None
-            if len(arcs) != 2:
-                return None
-            (sa, ka), (sb, kb) = sorted(arcs)
-            if {sa, sb} != {"s", "t"} or ka != kb or not _is_strand(ka):
+        for points, cs, ct, label, _ in pt:
+            if label[1] != 0 or label[0] == 0 or cs or ct or points.bit_count() != 2:
                 return None
             scalar = scalar * label[0] % self.p
         return scalar % self.p or None
+
+    def _key(self, x: int) -> frozenset:
+        """Matching key of a generator or of a tracked row's reference tangle."""
+        g = self.gens.get(x)
+        return g.key if g is not None else self.tracks[x].key
 
     def _eliminate(self, x: int, y: int, u: int, memo: _SurfaceMemo) -> list:
         """Cancel the iso entry (x, y); returns the pairs (z, w) it rewrote."""
@@ -769,13 +726,14 @@ class _Scan:
         d, rin = self.d, self.rin
         scale = (-inv_mod(u, p)) % p
         ins = [(z, d[z][y]) for z in sorted(rin[y]) if z != x]
-        outs = [(w, m) for w, m in sorted(d[x].items()) if w != y]
+        outs = [(w, m, self.gens[w].key) for w, m in sorted(d[x].items()) if w != y]
         for z, bz in ins:
             row = d[z]
-            for w, cw in outs:
+            kz = self._key(z)
+            for w, cw, kw in outs:
                 # row keeps its entry at y and rin[w] its x until the end,
                 # so neither container empties here
-                tot = add_into(row.get(w, {}), compose(cw, bz, memo).items(), p, scale)
+                tot = add_into(row.get(w, {}), compose(cw, bz, memo, kz, kw).items(), p, scale)
                 if tot:
                     row[w] = tot
                     rin[w].add(z)
@@ -784,7 +742,7 @@ class _Scan:
                     rin[w].discard(z)
         for z, _ in ins:
             self._del_entry(z, y)
-        for w, _ in outs:
+        for w, _, _ in outs:
             self._del_entry(x, w)
         self._del_entry(x, y)
         for w in list(self.rin.get(x, set())):
@@ -793,7 +751,7 @@ class _Scan:
             self._del_entry(y, z)
         del self.gens[x]
         del self.gens[y]
-        return [(z, w) for z, _ in ins for w, _ in outs]
+        return [(z, w) for z, _ in ins for w, _, _ in outs]
 
     def _cost(self, x: int, y: int) -> int:
         """Compositions that cancelling (x, y) makes."""
@@ -864,7 +822,7 @@ class _Scan:
                     cx.add_entry(ids[(x, sigma)], ids[(y, sigma)], c)
 
         cycles = {}
-        for tr in self.tracks:
+        for tr in self.tracks.values():
             v: Vec = {}
             for gid, m in self.d.get(tr.ref, {}).items():
                 assert set(m) == {frozenset()}
@@ -920,6 +878,10 @@ def scan_complex(
     smoothings apart: .split lists them, the one side a subcomplex and the
     zero side its quotient, each reduced by elimination on its own.
     """
+    components = set(range(len(D.components())))
+    for o in (flips, *(orientations or [])):
+        if not set(o) <= components:
+            raise ValueError(f"orientation {sorted(o)} names a component the diagram lacks")
     if order is None:
         if split_at is None:
             order, _ = scan_order(D)

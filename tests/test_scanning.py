@@ -337,7 +337,8 @@ def test_cheapest_first_makes_fewer_compositions(monkeypatch):
     assert (n_cheap, dim_cheap) == (n_sweep, dim_sweep)
 
 
-TABLES = ("glued", "capped", "lifted", "circles", "rewired", "lifts")
+# every table the memo has, so a table added or dropped is covered too
+TABLES = tuple(name for name in vars(scanning._SurfaceMemo(khovanov(3))) if name != "th")
 
 
 class NeverStores(dict):
@@ -401,3 +402,131 @@ def test_memo_is_dropped_when_attach_returns(monkeypatch):
     assert res.cycles and len(attached) == len(D.crossings)
     assert len(alive) == (1 + len(TABLES)) * len(D.crossings)
     assert not [r for r in alive if r() is not None]
+
+
+# the bitmask surface layer on hand-built input
+
+
+def bits(*points):
+    return sum(1 << e for e in points)
+
+
+def disk(*points, label=(1, 0)):
+    """A normalized part on two points: one source and one target arc."""
+    return (bits(*points), 0, 0, label, 1)
+
+
+def key(*pairs):
+    return scanning._matching_key({e: f for a, b in pairs for e, f in ((a, b), (b, a))})
+
+
+def test_every_surface_check_fires_on_bad_input():
+    memo = scanning._SurfaceMemo(khovanov(3))
+    k = key((0, 1), (2, 3))
+    circle = 1 << 9
+    bad = [
+        ("composition boundaries do not match",
+         lambda: scanning._glue(frozenset({disk(0, 1)}), frozenset({disk(0, 1), disk(2, 3)}), memo, k, k)),
+        ("uncapped circle at a composition",
+         lambda: scanning._glue(frozenset({(bits(0, 1), 0, circle, (1, 0), 0)}), frozenset({disk(0, 1)}), memo, k, k)),
+        ("uncapped circle at a composition",
+         lambda: scanning._glue(frozenset({disk(0, 1)}), frozenset({(bits(0, 1), circle, 0, (1, 0), 0)}), memo, k, k)),
+        ("point on two parts",
+         lambda: scanning._glue(frozenset({disk(0, 1), disk(1, 2)}), frozenset({disk(0, 1, 2)}), memo, k, k)),
+        ("point on two parts",
+         lambda: scanning._glue(frozenset({disk(0, 1, 2)}), frozenset({disk(0, 1), disk(1, 2)}), memo, k, k)),
+        ("part is not a union of cycles",
+         lambda: scanning._rebuild([(bits(0, 2), 0, 0, (1, 0), 1)], memo, memo.cycles_of(k, k))),
+        ("part has impossible topology",
+         lambda: scanning._rebuild([(bits(0, 1), 0, 0, (1, 0), 2)], memo, memo.cycles_of(k, k))),
+        ("part has impossible topology",
+         lambda: scanning._rebuild([(bits(0, 1, 2, 3), 0, 0, (1, 0), 1)], memo, memo.cycles_of(k, k))),
+        ("capped circle is not on the boundary",
+         lambda: scanning._cap(frozenset({(bits(0, 1), circle, 0, (1, 0), 0)}), 0, circle, (1, 0), memo)),
+        ("gluing points with no incident part",
+         lambda: scanning._apply_piece([disk(0, 1)], (1, bits(2), bits(4), 0, 0), memo.th)),
+        ("lift sides consume or open different points",
+         lambda: scanning._lift_pieces(((bits(0), bits(4), 0),), ((bits(1), bits(4), 0),))),
+        ("lift sides consume or open different points",
+         lambda: scanning._lift_pieces(((bits(0), bits(4), 0),), ((bits(0), bits(5), 0),))),
+    ]
+    for message, make in bad:
+        with pytest.raises(AssertionError, match=message):
+            make()
+
+
+def test_the_well_formed_twins_of_the_bad_input_pass():
+    memo = scanning._SurfaceMemo(khovanov(3))
+    k = key((0, 1), (2, 3))
+    identity = frozenset({disk(0, 1), disk(2, 3)})
+    assert scanning._glue(identity, identity, memo, k, k) == (identity, 1)
+    assert scanning._rebuild([(bits(0, 1), 0, 0, (1, 0), 1)], memo, memo.cycles_of(k, k)) == (
+        frozenset({disk(0, 1)}), 1)
+    # a disk on a source circle caps to a sphere labeled X, whose counit is 1
+    circle = 1 << 9
+    assert scanning._cap(frozenset({(0, circle, 0, (1, 0), 1)}), circle, 0, (0, 1), memo) == (frozenset(), 1)
+    assert scanning._cap(frozenset({(0, circle, 0, (1, 0), 1)}), circle, 0, (1, 0), memo) == (None, 0)
+    assert scanning._apply_piece([disk(0, 1)], (1, bits(1), bits(4), 0, 0), memo.th) == [
+        (bits(0, 4), 0, 0, (1, 0), 1)]
+    assert scanning._lift_pieces(((bits(0), bits(4), 0),), ((bits(0), bits(4), 1 << 8),)) == (
+        (1, bits(0), bits(4), 0, 1 << 8),)
+
+
+def arc_walk_cycles(src, tgt):
+    """Brute force: the point sets of the components of the graph whose
+    edges are the arcs of both matchings."""
+    left = set(src)
+    out = []
+    while left:
+        todo = [min(left)]
+        comp = set()
+        while todo:
+            pt = todo.pop()
+            if pt not in comp:
+                comp.add(pt)
+                todo += [src[pt], tgt[pt]]
+        left -= comp
+        out.append(comp)
+    return out
+
+
+def random_matching(rng, points):
+    pts = list(points)
+    rng.shuffle(pts)
+    return {e: f for a, b in zip(pts[::2], pts[1::2]) for e, f in ((a, b), (b, a))}
+
+
+def test_cycle_count_matches_an_arc_walk():
+    rng = random.Random(6151)
+    for _ in range(300):
+        points = rng.sample(range(40), 2 * rng.randint(0, 8))
+        src, tgt = random_matching(rng, points), random_matching(rng, points)
+        memo = scanning._SurfaceMemo(khovanov(3))
+        cycles = memo.cycles_of(scanning._matching_key(src), scanning._matching_key(tgt))
+        walked = arc_walk_cycles(src, tgt)
+        assert sorted(cycles) == sorted(bits(*c) for c in walked)
+        chosen = [c for c in walked if rng.random() < 0.5]
+        assert scanning._strand_circles(bits(*set().union(*chosen)), cycles) == len(chosen)
+        if chosen and len(chosen[0]) > 2:
+            with pytest.raises(AssertionError, match="not a union of cycles"):
+                scanning._strand_circles(bits(*chosen[0]) & ~bits(min(chosen[0])), cycles)
+
+
+@pytest.mark.parametrize(
+    "partition, unit",
+    [
+        (frozenset({disk(0, 1, label=(2, 0)), disk(2, 3)}), 2),  # identity cylinder
+        (frozenset(), 1),  # the empty tangle's identity
+        (frozenset({(bits(0, 1, 2, 3), 0, 0, (1, 0), 0)}), None),  # a four-point part
+        (frozenset({(bits(0, 1), 1 << 6, 0, (1, 0), 0)}), None),  # a source circle bit
+        (frozenset({(bits(0, 1), 0, 1 << 6, (1, 0), 0)}), None),  # a target circle bit
+        (frozenset({disk(0, 1, label=(0, 1))}), None),  # an X label
+        (frozenset({disk(0, 1, label=(1, 1))}), None),  # 1 + X, not a unit scalar
+        (frozenset({disk(0, 1, label=(0, 0))}), None),  # a zero label
+    ],
+)
+def test_iso_scalar_truth_table(partition, unit):
+    sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
+    x, y = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (1, 0))
+    assert sc._iso_scalar(x, y, {partition: 1}) == unit
+    assert sc._iso_scalar(x, y, {partition: 1, frozenset({disk(4, 5)}): 1}) is None

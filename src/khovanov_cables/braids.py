@@ -133,7 +133,8 @@ def count_inter_crossings(word: BraidWord, strands: set[int]) -> int:
     The set must close up to a sublink of the closure; strand positions are
     tracked through the word.
     """
-    assert strands <= set(range(word.strands)), "strand index out of range"
+    if not strands <= set(range(word.strands)):
+        raise ValueError("strand index out of range")
     if not strand_orbit_closed(word, strands):
         raise ValueError("strand set does not close to a sublink")
     occ = list(range(word.strands))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braids import BraidWord, braid_closure, cable_word, full_twist, row_word
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, incoming
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def orientation_flips(
     Rejects strand sets that are not unions of components.
     """
     reversed_strands = set(reversed_strands)
-    assert reversed_strands <= set(range(meta.width)), "strand index out of range"
+    if not reversed_strands <= set(range(meta.width)):
+        raise ValueError("strand index out of range")
     flips = {meta.strand_component[j] for j in reversed_strands}
     covered = {
         j for j in range(meta.width) if meta.strand_component[j] in flips
@@ -205,8 +206,8 @@ def _grid_cable(knot: LinkDiagram, N: int, splice: int, word: BraidWord):
     for c in sorted(knot.crossings):
         X = knot.crossings[c]
         u = (X.over_diag + 1) % 4
-        under_in_east = X.slots[u][1] == 1
-        over_in_north = X.slots[(u + 1) % 4][1] == 1
+        inc = incoming(X, frozenset())
+        under_in_east, over_in_north = inc[u], inc[(u + 1) % 4]
         for y in range(N):
             for x in range(N - 1):
                 east = (cell[(c, x + 1, y)], 2)

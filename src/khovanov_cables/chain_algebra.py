@@ -114,24 +114,9 @@ def add_into(out: dict, terms: Iterable[tuple], p: int, scalar: int = 1) -> dict
     return out
 
 
-def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    return add_into({}, v.items(), p, c)
-
-
 def vec_add(a: Vec, b: Vec, p: int, scalar: int = 1) -> Vec:
     """a + scalar * b."""
     return add_into(dict(a), b.items(), p, scalar)
-
-
-def vec_proportional(a: Vec, b: Vec, p: int) -> bool:
-    """True iff b = c * a for some nonzero scalar c (both must be nonzero)."""
-    if not a or not b:
-        return False
-    g = next(iter(a))
-    c = (b.get(g, 0) * inv_mod(a[g], p)) % p
-    if not c:
-        return False
-    return vec_add(b, a, p, scalar=-c) == {}
 
 
 # -- complexes -----------------------------------------------------------
@@ -141,15 +126,14 @@ def vec_proportional(a: Vec, b: Vec, p: int) -> bool:
 class EliminationStep:
     """One Gaussian elimination of an entry src -> dst with unit coefficient.
 
-    src_targets is d(src) without dst, dst_sources the other generators
-    hitting dst, both recorded just before the pair is removed.
+    src_targets is d(src) without dst, recorded just before the pair is
+    removed.
     """
 
     src: int
     dst: int
     coeff: int
     src_targets: Vec
-    dst_sources: Vec
 
 
 @dataclass
@@ -166,19 +150,6 @@ class SimplifyTrace:
             if b:
                 f = (b * inv_mod(st.coeff, self.p)) % self.p
                 add_into(v, st.src_targets.items(), self.p, -f)
-        return v
-
-    def lift(self, vec: Vec) -> Vec:
-        """Chain-level section of project, from the reduced complex back up."""
-        v = dict(vec)
-        for st in reversed(self.steps):
-            beta = 0
-            for a, c in st.dst_sources.items():
-                va = v.get(a)
-                if va:
-                    beta = (beta + va * c) % self.p
-            if beta:
-                v[st.src] = (-beta * inv_mod(st.coeff, self.p)) % self.p
         return v
 
 
@@ -345,7 +316,7 @@ class ScalarComplex:
         phi = {w: c for w, c in self.cols[x].items() if w != y}
         srcs = {z: c for z, c in self.rows[y].items() if z != x}
         if trace is not None:
-            trace.steps.append(EliminationStep(x, y, u, dict(phi), dict(srcs)))
+            trace.steps.append(EliminationStep(x, y, u, dict(phi)))
         uinv = inv_mod(u, self.p)
         touched: list[tuple[int, int]] = []
         for z, v in srcs.items():

@@ -31,7 +31,7 @@ from .chain_algebra import (
     rank,
 )
 from .cube import CubeComplex
-from .diagrams import LinkDiagram, Loop, smoothing_pairs, _make_coherent
+from .diagrams import LinkDiagram, Loop, _make_coherent, incoming, oriented_smoothing
 from .frobenius import (
     Theory,
     bar_natan_deformation,
@@ -307,37 +307,21 @@ def reversed_sets(
     """Translate an orientation of the base diagram, given as the set of
     reversed components, into the reversed edges and loops of the plumbed
     diagram."""
-    comp_e = pb.base.component_of_edge()
-    comp_l = pb.base.component_of_loop()
-    rev_e: set[int] = set()
-    for e, kids in pb.edge_children.items():
-        base_rev = comp_e[e] in flips
-        for ne, r in kids:
-            if base_rev != r:
-                rev_e.add(ne)
-    for l, kids in pb.loop_children.items():
-        base_rev = comp_l[l] in flips
-        for ne, r in kids:
-            if base_rev != r:
-                rev_e.add(ne)
-    rev_l = {l for l in pb.diagram.loops if comp_l[l] in flips}
-    return frozenset(rev_e), frozenset(rev_l)
+    base_e, base_l = pb.base.reversed_parts(flips)
+    rev_e = {ne for e, kids in pb.edge_children.items() for ne, r in kids if (e in base_e) != r}
+    rev_e |= {ne for l, kids in pb.loop_children.items() for ne, r in kids if (l in base_l) != r}
+    return frozenset(rev_e), frozenset(l for l in base_l if l in pb.diagram.loops)
 
 
 def band_compatible(pb: PlumbedBand, rev_edges: frozenset[int]) -> bool:
     """Whether the surgered strands run coherently under the orientation
     described by rev_edges."""
-    x = pb.diagram.crossings[pb.crossing]
-
-    def incoming(s: int) -> bool:
-        eid, idx = x.slots[s]
-        return (idx == 1) != (eid in rev_edges)
-
+    inc = incoming(pb.diagram.crossings[pb.crossing], rev_edges)
     if pb.ident == 0:
         prs = ((1, 2), (3, 0))  # the surgery smoothing's joins
     else:
         prs = ((0, 2), (1, 3))  # the surgered strands are the diagonals
-    return all(incoming(a) != incoming(b) for a, b in prs)
+    return all(inc[a] != inc[b] for a, b in prs)
 
 
 def compatible_flips(pb: PlumbedBand) -> list[frozenset[int]]:
@@ -364,62 +348,6 @@ def surgered_diagram(pb: PlumbedBand) -> LinkDiagram:
 
 
 # -- the induced map on deformed homology --------------------------------
-
-
-def _oriented_bits(
-    Dc: LinkDiagram, cids, skip: int, rev_edges: frozenset[int]
-) -> dict[int, int]:
-    """Oriented smoothing of each crossing except `skip`, directions taken
-    from the reversed-edge set."""
-    bits: dict[int, int] = {}
-    for cid in cids:
-        if cid == skip:
-            continue
-        x = Dc.crossings[cid]
-        inc = []
-        for s in range(4):
-            eid, idx = x.slots[s]
-            inc.append((idx == 1) != (eid in rev_edges))
-        got = None
-        for r in (0, 1):
-            prs = smoothing_pairs(x.over_diag, r)
-            if all(inc[a] != inc[b] for a, b in prs):
-                assert got is None, "both smoothings look oriented"
-                got = r
-        assert got is not None, "orientation incoherent at a crossing"
-        bits[cid] = got
-    return bits
-
-
-def _transported_flips(
-    pb: PlumbedBand, rev_edges: frozenset[int], rev_loops: frozenset[int]
-) -> frozenset[int]:
-    """Orientation of the plumbed diagram matching the reversed sets;
-    only meaningful when the band is compatible with them."""
-    Dc = pb.diagram
-    comp_e = Dc.component_of_edge()
-    comp_l = Dc.component_of_loop()
-    n = len(Dc.components())
-    min_edge: dict[int, int] = {}
-    for e, k in comp_e.items():
-        if k not in min_edge or e < min_edge[k]:
-            min_edge[k] = e
-    flips = set()
-    for k in range(n):
-        if k in min_edge:
-            if min_edge[k] in rev_edges:
-                flips.add(k)
-        else:
-            lids = sorted(
-                l for l, kk in comp_l.items() if kk == k and l in Dc.loops
-            )
-            if lids and lids[0] in rev_loops:
-                flips.add(k)
-    for e, k in comp_e.items():
-        assert (e in rev_edges) == (k in flips), (
-            "reversed edges not coherent along a surgered strand"
-        )
-    return frozenset(flips)
 
 
 def _proportionality(
@@ -483,9 +411,10 @@ def band_images(
         flips = frozenset(k for k in range(n) if mask >> k & 1)
         rev_e, rev_l = reversed_sets(pb, flips)
         compat = band_compatible(pb, rev_e)
-        obits = _oriented_bits(pb.diagram, cube.cids, pb.crossing, rev_e)
         bits0 = tuple(
-            pb.ident if cid == pb.crossing else obits[cid]
+            pb.ident
+            if cid == pb.crossing
+            else oriented_smoothing(pb.diagram.crossings[cid], rev_e)
             for cid in cube.cids
         )
         x0 = cube.state_class(bits0, rev_e, rev_l)
@@ -507,13 +436,9 @@ def band_images(
 
         if compat:
             if pb.ident == 0:
-                bits1 = tuple(
-                    1 if cid == pb.crossing else obits[cid]
-                    for cid in cube.cids
-                )
-                x1 = cube.state_class(bits1, rev_e, rev_l)
+                x1 = cube.state_class(bits0[:i] + (1,) + bits0[i + 1 :], rev_e, rev_l)
             else:
-                x1 = cube.canonical_cycle(_transported_flips(pb, rev_e, rev_l))
+                x1 = cube.oriented_class(rev_e, rev_l)
             for g in x1:
                 assert cube.cx.grading[g][0] == h, (
                     "band image and target sit in different degrees"

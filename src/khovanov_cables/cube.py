@@ -5,7 +5,9 @@ circle by a basis element of the Frobenius algebra, and assembles the
 full differential with the usual alternating edge signs. Exponential in
 crossings; meant as the reference engine for small diagrams that the
 scanning engine is checked against, and as the direct route to the
-deformed homology classes of oriented resolutions.
+deformed homology classes of oriented resolutions: `oriented_class` takes
+an orientation as reversed edges and loops, `canonical_cycle` as component
+flips.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from .chain_algebra import ScalarComplex, Vec
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, oriented_smoothing
 from .frobenius import Theory
 from .planar import Circle, ResolvedState, state_circles
 
@@ -105,10 +107,6 @@ class CubeComplex:
 
     # -- distinguished vectors --------------------------------------------
 
-    def oriented_state(self, flips: frozenset[int] = frozenset()) -> State:
-        sm = self.D.oriented_smoothings(flips)
-        return tuple(sm[c] for c in self.cids)
-
     def state_class(
         self, bits: State, rev_edges: frozenset[int], rev_loops: frozenset[int]
     ) -> Vec:
@@ -118,7 +116,7 @@ class CubeComplex:
         th = self.theory
         rs = ResolvedState(self.D, dict(zip(self.cids, bits)))
         labels = [
-            th.canonical_label(rs.parity_for(k, rev_edges, rev_loops))
+            th.canonical_label(rs.parity(k, rev_edges, rev_loops))
             for k in range(len(rs.circles))
         ]
         vec: Vec = {}
@@ -130,12 +128,18 @@ class CubeComplex:
                 vec[self.gid[(bits, choice)]] = coeff
         return vec
 
-    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
-        """Deformed-theory cycle of the orientation `flips`: the state class
-        of its oriented state."""
-        bits = self.oriented_state(flips)
+    def oriented_class(
+        self, rev_edges: frozenset[int], rev_loops: frozenset[int]
+    ) -> Vec:
+        """Deformed-theory cycle of the orientation that reverses the given
+        edges and loops: the state class of its oriented resolution."""
+        bits = tuple(oriented_smoothing(self.D.crossings[c], rev_edges) for c in self.cids)
         circle_of = {e: k for k, c in enumerate(self.circles[bits]) for e in c.edges}
         for cid in self.cids:
             pair = {circle_of[e] for e, _ in self.D.crossings[cid].slots}
             assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
-        return self.state_class(bits, *self.D.reversed_parts(flips))
+        return self.state_class(bits, rev_edges, rev_loops)
+
+    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
+        """Deformed-theory cycle of the orientation `flips`."""
+        return self.oriented_class(*self.D.reversed_parts(flips))

@@ -4,8 +4,14 @@ A diagram is a 4-valent planar map with over/under decorations, plus
 crossing-free loops. Each crossing stores its four incident edge ends in
 counterclockwise cyclic order; `over_diag` says which diagonal (slots 0/2
 or slots 1/3) carries the over-strand. Edges are directed (tail to head)
-and the base orientation of the link runs every edge tail to head;
-alternative orientations are frozensets of reversed component indices.
+and the base orientation of the link runs every edge tail to head.
+
+An orientation is chosen as a frozenset of flipped (reversed) component
+indices. `LinkDiagram.reversed_parts` is the one translation of flips into
+the edges and loops the orientation runs backward; everything downstream
+reads slot directions from those sets through `incoming`, and the oriented
+resolution through `oriented_smoothing`, which also checks that the
+directions are coherent at the crossing.
 
 Because a rotation system only pins the embedding of each connected piece,
 the diagram also records placement data: for every edged piece, a dart
@@ -90,6 +96,26 @@ def smoothing_pairs(over_diag: int, r: int) -> list[tuple[int, int]]:
     if r == 0:
         return [(u, (u + 1) % 4), ((u + 2) % 4, (u + 3) % 4)]
     return [((u + 3) % 4, u), ((u + 1) % 4, (u + 2) % 4)]
+
+
+def incoming(x: Crossing, rev_edges: frozenset[int]) -> list[bool]:
+    """Per slot of x, whether a strand arrives there: the slot holds an
+    edge's head, unless the orientation runs that edge backward."""
+    return [(idx == 1) != (eid in rev_edges) for eid, idx in x.slots]
+
+
+def oriented_smoothing(x: Crossing, rev_edges: frozenset[int]) -> int:
+    """The one smoothing of x whose arcs each run from an incoming slot to
+    an outgoing one (0 at a positive crossing, 1 at a negative one).
+
+    Exactly one smoothing does so when each diagonal (one strand) runs in
+    at one end and out at the other; then every arc of a smoothing joins
+    an in-slot to an out-slot as soon as one of its arcs does.
+    """
+    inc = incoming(x, rev_edges)
+    assert inc[0] != inc[2] and inc[1] != inc[3], "orientation incoherent at a crossing"
+    (a, b), _ = smoothing_pairs(x.over_diag, 0)
+    return 0 if inc[a] != inc[b] else 1
 
 
 class LinkDiagram:
@@ -211,7 +237,14 @@ class LinkDiagram:
     def reversed_parts(
         self, flips: frozenset[int]
     ) -> tuple[frozenset[int], frozenset[int]]:
-        """Edges and loops that the orientation reversing `flips` runs backward."""
+        """Edges and loops that the orientation reversing `flips` runs backward.
+
+        Raises ValueError when `flips` names a component the diagram lacks.
+        """
+        if not set(flips) <= set(range(len(self.components()))):
+            raise ValueError(
+                f"orientation {sorted(flips)} names a component the diagram lacks"
+            )
         return (
             frozenset(e for e, k in self.component_of_edge().items() if k in flips),
             frozenset(l for l, k in self.component_of_loop().items() if k in flips),
@@ -220,17 +253,7 @@ class LinkDiagram:
     def signs(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
         """Sign of every crossing under the orientation that reverses the
         components in `flips`."""
-        comp = self.component_of_edge()
-        out: dict[int, int] = {}
-        for cid, x in self.crossings.items():
-            # a strand arrives at a slot when the edge ends there (idx 1),
-            # unless its component is reversed
-            inc = [(idx == 1) != (comp[eid] in flips) for eid, idx in x.slots]
-            over = [s for s in (x.over_diag, x.over_diag + 2) if inc[s % 4]]
-            under = [s for s in ((x.over_diag + 1) % 4, (x.over_diag + 3) % 4) if inc[s % 4]]
-            assert len(over) == 1 and len(under) == 1, "bad incoming structure at crossing"
-            out[cid] = 1 if (over[0] - under[0]) % 4 == 3 else -1
-        return out
+        return {c: 1 - 2 * r for c, r in self.oriented_smoothings(flips).items()}
 
     def crossing_sign(self, cid: int, flips: frozenset[int] = frozenset()) -> int:
         return self.signs(flips)[cid]
@@ -265,21 +288,11 @@ class LinkDiagram:
         assert total % 2 == 0
         return total // 2
 
-    def inter_component_crossings(self, comps_a: set[int]) -> int:
-        """Crossings where one strand lies in comps_a and the other outside."""
-        comp = self.component_of_edge()
-        count = 0
-        for x in self.crossings.values():
-            over = comp[x.slots[x.over_diag][0]]
-            under = comp[x.slots[(x.over_diag + 1) % 4][0]]
-            if (over in comps_a) != (under in comps_a):
-                count += 1
-        return count
-
     def oriented_smoothings(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
         """Per crossing, the resolution compatible with the orientation
         (0 for positive crossings, 1 for negative)."""
-        return {c: (0 if v > 0 else 1) for c, v in self.signs(flips).items()}
+        rev_edges, _ = self.reversed_parts(flips)
+        return {c: oriented_smoothing(x, rev_edges) for c, x in self.crossings.items()}
 
     # -- global moves ------------------------------------------------------
 

@@ -36,13 +36,6 @@ class Theory:
         return self.h == 0 and self.t == 0
 
     @property
-    def jump(self) -> int:
-        """Grading gap of the deformation terms (0 when exact)."""
-        if self.q_exact:
-            return 0
-        return 4 if self.t else 2
-
-    @property
     def roots(self) -> tuple[int, int]:
         """The two roots of X^2 - hX - t, distinct for deformed points."""
         if (self.h, self.t) == (0, 1):

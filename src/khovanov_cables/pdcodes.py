@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .diagrams import LinkDiagram
+from .diagrams import LinkDiagram, incoming
 
 _X_RE = re.compile(r"X\[([^\]]*)\]")
 
@@ -26,7 +26,8 @@ def read_pd(text: str) -> LinkDiagram:
     tuples: list[tuple[int, int, int, int]] = []
     for m in _X_RE.finditer(text):
         parts = tuple(int(tok) for tok in m.group(1).split(","))
-        assert len(parts) == 4, f"crossing needs 4 labels, got {parts}"
+        if len(parts) != 4:
+            raise ValueError(f"crossing needs 4 labels, got {parts}")
         tuples.append(parts)  # type: ignore[arg-type]
     if not tuples:
         raise ValueError("no crossings found in PD text")
@@ -106,12 +107,8 @@ def write_pd(D: LinkDiagram) -> str:
     entries = []
     for c in sorted(D.crossings):
         x = D.crossings[c]
-        under_in = None
-        for s in ((x.over_diag + 1) % 4, (x.over_diag + 3) % 4):
-            eid, idx = x.slots[s]
-            if idx == 1:
-                under_in = s
-        assert under_in is not None, "crossing has no incoming under-strand"
+        u = (x.over_diag + 1) % 4
+        under_in = u if incoming(x, frozenset())[u] else (u + 2) % 4
         labs = [label[x.slots[(under_in + k) % 4][0]] for k in range(4)]
         entries.append("X[{},{},{},{}]".format(*labs))
     return "PD[" + ", ".join(entries) + "]"

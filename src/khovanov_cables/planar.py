@@ -10,6 +10,9 @@ smoothing a crossing welds the two sectors not spanned by its smoothing
 arcs. Pieces and loops are then glued into one plane via their recorded
 host darts, the face adjacency across circles forms a tree, and depth in
 that tree (from the outer face) is the nesting number of each circle.
+A circle's clockwise indicator and parity (nesting plus indicator, mod 2)
+are read under an orientation given as the reversed edges and loops that
+`LinkDiagram.reversed_parts` returns.
 """
 
 from __future__ import annotations
@@ -161,18 +164,11 @@ class ResolvedState:
                 else:
                     self.nesting.append(depth[uf.find(emb.left_face(host))])
 
-    def cw_indicator(self, idx: int, flips: frozenset[int]) -> int:
-        """cw_indicator_for under the orientation reversing the components in flips."""
-        return self.cw_indicator_for(idx, *self.D.reversed_parts(flips))
-
-    def parity(self, idx: int, flips: frozenset[int]) -> int:
-        return self.parity_for(idx, *self.D.reversed_parts(flips))
-
-    def cw_indicator_for(
+    def cw_indicator(
         self, idx: int, rev_edges: frozenset[int], rev_loops: frozenset[int]
     ) -> int:
         """1 if circle idx runs clockwise under the orientation that reverses
-        the given edges and loops.
+        the given edges and loops (`LinkDiagram.reversed_parts` of a flip set).
 
         Only the circle's lowest edge (or its loop) is consulted, so the
         sets need only be consistent along each circle.
@@ -190,7 +186,8 @@ class ResolvedState:
         assert abs(fl - fr) == 1
         return 0 if fl > fr else 1
 
-    def parity_for(
+    def parity(
         self, idx: int, rev_edges: frozenset[int], rev_loops: frozenset[int]
     ) -> int:
-        return (self.nesting[idx] + self.cw_indicator_for(idx, rev_edges, rev_loops)) % 2
+        """Nesting plus clockwise indicator of circle idx, mod 2."""
+        return (self.nesting[idx] + self.cw_indicator(idx, rev_edges, rev_loops)) % 2

@@ -849,10 +849,11 @@ class _Scan:
 def _make_track(D: LinkDiagram, th: Theory, flips: frozenset, ref: int) -> _Track:
     ro = D.oriented_smoothings(flips)
     st = ResolvedState(D, ro)
+    rev = D.reversed_parts(flips)
     labels_by_eid: dict = {}
     loop_labels: dict = {}
     for idx, circ in enumerate(st.circles):
-        lab = th.canonical_label(st.parity(idx, flips))
+        lab = th.canonical_label(st.parity(idx, *rev))
         if circ.loop is not None:
             loop_labels[circ.loop] = lab
         else:
@@ -878,10 +879,8 @@ def scan_complex(
     smoothings apart: .split lists them, the one side a subcomplex and the
     zero side its quotient, each reduced by elimination on its own.
     """
-    components = set(range(len(D.components())))
     for o in (flips, *(orientations or [])):
-        if not set(o) <= components:
-            raise ValueError(f"orientation {sorted(o)} names a component the diagram lacks")
+        D.reversed_parts(o)  # raises ValueError before any attach
     if order is None:
         if split_at is None:
             order, _ = scan_order(D)

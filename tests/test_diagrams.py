@@ -16,6 +16,7 @@ from khovanov_cables.braids import (
     random_braid,
     row_word,
 )
+from khovanov_cables.diagrams import Crossing, oriented_smoothing
 
 
 def closure(*letters, strands=None):
@@ -117,7 +118,6 @@ def test_hopf_linking():
     assert D.linking_number({0}, {1}) == 1
     assert D.linking_number({0}, {1}, flips=frozenset({1})) == -1
     assert D.mirror().linking_number({0}, {1}) == -1
-    assert D.inter_component_crossings({0}) == 2
 
 
 def test_flipped_signs():
@@ -126,6 +126,15 @@ def test_flipped_signs():
     assert D.n_minus(frozenset({0})) == 2
     assert D.oriented_smoothings() == {c: 0 for c in D.crossings}
     assert D.oriented_smoothings(frozenset({0})) == {c: 1 for c in D.crossings}
+
+
+# slot ends (1 = an edge's head) of hand-built crossings, over_diag 0:
+# three strands in fit no smoothing, a diagonal in at both ends fits both
+@pytest.mark.parametrize("ends", [(1, 1, 1, 0), (1, 0, 1, 0)])
+def test_oriented_smoothing_rejects_incoherent_crossings(ends):
+    x = Crossing([(eid, idx) for eid, idx in enumerate(ends)], over_diag=0)
+    with pytest.raises(AssertionError, match="orientation incoherent at a crossing"):
+        oriented_smoothing(x, frozenset())
 
 
 def test_signs_writhe_and_linking_under_every_flip_set():
@@ -290,16 +299,16 @@ def test_trefoil_oriented_state_parities():
     sm = D.oriented_smoothings()
     rs = planar.ResolvedState(D, sm)
     assert rs.nesting == [0, 1]
-    assert [rs.parity(i, frozenset()) for i in range(2)] == [0, 1]
+    assert [rs.parity(i, frozenset(), frozenset()) for i in range(2)] == [0, 1]
     # nested circles of one orientation class always alternate parity
-    assert [rs.cw_indicator(i, frozenset()) for i in range(2)] == [0, 0]
+    assert [rs.cw_indicator(i, frozenset(), frozenset()) for i in range(2)] == [0, 0]
 
 
 def test_hopf_oriented_state_parities():
     D = closure(1, 1)
     rs = planar.ResolvedState(D, D.oriented_smoothings())
     assert len(rs.circles) == 2
-    assert sorted(rs.parity(i, frozenset()) for i in range(2)) == [0, 1]
+    assert sorted(rs.parity(i, frozenset(), frozenset()) for i in range(2)) == [0, 1]
 
 
 def test_nested_loops_and_pieces_depths():
@@ -318,14 +327,14 @@ def test_loop_parity_matches_edged_presentation():
         i for i, c in enumerate(rsA.circles) if c.loop is not None
     )
     assert rsA.nesting[loop_idx] == 2
-    assert rsA.parity(loop_idx, frozenset()) == 0
+    assert rsA.parity(loop_idx, frozenset(), frozenset()) == 0
 
 
 def test_reversal_flips_cw_not_nesting():
     D = closure(1, 1, 1)
     rs = planar.ResolvedState(D, D.oriented_smoothings())
-    base = [rs.cw_indicator(i, frozenset()) for i in range(2)]
-    flipped = [rs.cw_indicator(i, frozenset({0})) for i in range(2)]
+    base = [rs.cw_indicator(i, frozenset(), frozenset()) for i in range(2)]
+    flipped = [rs.cw_indicator(i, *D.reversed_parts(frozenset({0}))) for i in range(2)]
     assert base != flipped
     assert rs.nesting == [0, 1]
 
@@ -341,7 +350,7 @@ def test_state_sweep_invariants():
             n = len(rs.circles)
             assert all(d >= 0 for d in rs.nesting)
             for i in range(n):
-                assert rs.parity(i, frozenset()) in (0, 1)
+                assert rs.parity(i, frozenset(), frozenset()) in (0, 1)
 
 
 @settings(max_examples=40, deadline=None)

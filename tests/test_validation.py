@@ -3,17 +3,23 @@
 import os
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-from khovanov_cables.braids import BraidWord, braid_closure
+from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings
+from khovanov_cables.cabling import CableMeta, orientation_flips
+from khovanov_cables.cobordism import block_shifts
+from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
 from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
 from khovanov_cables.lee import s_invariant
+from khovanov_cables.pdcodes import read_pd
 from khovanov_cables.scanning import scan_complex
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 @pytest.mark.parametrize(
@@ -50,8 +56,13 @@ def test_scan_rejects_orientations_naming_a_missing_component():
     assert s_invariant(D, frozenset({0})) == s_invariant(D)
 
 
-# (callable name, args): each must raise ValueError
-BAD_HARNESS_INPUT = [
+# a knot: component 0 is its only one
+TRIO = braid_closure(BraidWord(2, (1, 1, 1)))
+TRIO_LEE = CubeComplex(TRIO, lee_deformation(3))
+
+# (callable name, args): each must raise ValueError, also under python -O;
+# a dotted name is read attribute by attribute from this module
+BAD_INPUT = [
     ("ladder", (2, 1)),
     ("ladder", (0, -1)),
     ("LadderEntry", (0, -1, 0, 0)),
@@ -61,42 +72,46 @@ BAD_HARNESS_INPUT = [
     ("audit_family", (BraidWord(2, (1,)), "hopf", None, 0)),
     ("audit_family", (BraidWord(2, (-1, -1, -1)), "trefoil", -2, 0)),
     ("inclusion_report", (BraidWord(1, ()), 0)),
+    ("Theory", (4, 2, 3)),
+    ("BraidWord", (2, (0, 5))),
+    ("scan_complex", (TRIO, khovanov(3), frozenset(), None, [0, 1])),
+    ("scan_complex", (TRIO, khovanov(3), frozenset({7}))),
+    ("scan_complex", (TRIO, lee_deformation(3), frozenset(), [frozenset({5})])),
+    ("s_invariant", (TRIO, frozenset({9}))),
+    ("TRIO.writhe", (frozenset({7}),)),
+    ("CubeComplex", (TRIO, khovanov(3), frozenset({7}))),
+    ("TRIO_LEE.canonical_cycle", (frozenset({9}),)),
+    ("block_shifts", (TRIO, 0, frozenset({5}))),
+    ("read_pd", ("PD[X[1,2,3], X[3,2,1]]",)),
+    ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
+    ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
 ]
 
 
-@pytest.mark.parametrize("name, args", BAD_HARNESS_INPUT)
+def call(name, args):
+    head, *attrs = name.split(".")
+    return reduce(getattr, attrs, globals()[head])(*args)
+
+
+@pytest.mark.parametrize("name, args", BAD_INPUT)
 def test_harness_rejects_bad_input(name, args):
     with pytest.raises(ValueError):
-        globals()[name](*args)
+        call(name, args)
 
 
 def test_rejections_survive_optimized_mode():
     script = "\n".join(
         [
-            "from khovanov_cables.braids import BraidWord, braid_closure",
-            "from khovanov_cables.frobenius import Theory, khovanov, lee_deformation",
-            "from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder",
-            "from khovanov_cables.lee import s_invariant",
-            "from khovanov_cables.scanning import scan_complex",
-            "D = braid_closure(BraidWord(2, (1, 1, 1)))",
-            f"harness = {BAD_HARNESS_INPUT!r}",
-            "for make in (",
-            "    lambda: Theory(p=4, h=2, t=3),",
-            "    lambda: BraidWord(2, (0, 5)),",
-            "    lambda: scan_complex(D, khovanov(3), order=[0, 1]),",
-            "    lambda: scan_complex(D, khovanov(3), flips=frozenset({7})),",
-            "    lambda: scan_complex(D, lee_deformation(3), orientations=[frozenset({5})]),",
-            "    lambda: s_invariant(D, frozenset({9})),",
-            "    *[lambda name=name, args=args: globals()[name](*args) for name, args in harness],",
-            "):",
+            "from test_validation import BAD_INPUT, call",
+            "for name, args in BAD_INPUT:",
             "    try:",
-            "        make()",
+            "        call(name, args)",
             "    except ValueError:",
             "        continue",
-            "    raise SystemExit('accepted bad input')",
+            "    raise SystemExit(f'accepted bad input: {name}{args}')",
         ]
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
     env.pop("PYTHONOPTIMIZE", None)
     done = subprocess.run(
         [sys.executable, "-O", "-c", script],

@@ -82,7 +82,8 @@ def cable_insert(
     lands on at_edge when given, else on the highest edge id not carrying
     placement data.
     """
-    assert len(knot.components()) == 1, "cable companion must be a knot diagram"
+    if len(knot.components()) != 1:  # a free loop is a component too
+        raise ValueError("cable companion must be a knot diagram")
     N = pattern.strands
     wr = knot.writhe()
     twists = f - wr
@@ -98,7 +99,6 @@ def cable_insert(
         meta = _meta_from_columns(D, cols)
         return (D, meta) if with_meta else D
 
-    assert not knot.loops, "companion with crossings cannot have free loops"
     splice = _pick_splice_edge(knot, at_edge)
     D, entry_edges, ribbon = _grid_cable(knot, N, splice, word)
     _carry_placement(knot, D, N, ribbon)
@@ -113,7 +113,8 @@ def cable_of_braid(
     """Braid-route construction of the same satellite: cable the word
     strand by strand, then append the framing twists and the pattern on
     the first bundle's columns."""
-    assert len(base.closure_cycles()) == 1, "companion must close to a knot"
+    if len(base.closure_cycles()) != 1:
+        raise ValueError("companion must close to a knot")
     N = pattern.strands
     tangle = full_twist(N, f - base.writhe) * pattern
     lifted = BraidWord(base.strands * N, cable_word(base, N).letters + tangle.letters)
@@ -172,11 +173,13 @@ def _pick_splice_edge(knot: LinkDiagram, at_edge: int | None) -> int:
         if lp.host is not None:
             dart_edges.add(lp.host[0])
     if at_edge is not None:
-        assert at_edge in knot.edges, "splice edge does not exist"
+        if at_edge not in knot.edges:
+            raise ValueError("splice edge does not exist")
         if at_edge in dart_edges:
             raise ValueError("splice edge carries placement data; pick another")
         return at_edge
     free = [e for e in sorted(knot.edges) if e not in dart_edges]
+    # a knot with crossings is one piece: one edge carries its dart
     assert free, "no edge available for the splice"
     return free[-1]
 

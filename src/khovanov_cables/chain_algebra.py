@@ -33,7 +33,11 @@ def _zeros(rows: int, cols: int) -> np.ndarray:
 
 
 def row_reduce(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of A mod p, with the list of pivot columns."""
+    """Reduced row echelon form of A mod p, with the list of pivot columns.
+
+    Row r is zero left of its pivot column c, so a pivot touches only
+    columns c: of the rows with a nonzero in column c.
+    """
     R = np.mod(A.astype(np.int64, copy=True), p)
     nrows, ncols = R.shape
     pivots: list[int] = []
@@ -47,11 +51,11 @@ def row_reduce(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         i = r + int(hot[0])
         if i != r:
             R[[r, i]] = R[[i, r]]
-        R[r] = (R[r] * inv_mod(int(R[r, c]), p)) % p
-        other = R[:, c].copy()
-        other[r] = 0
-        if other.any():
-            R = (R - np.outer(other, R[r])) % p
+        piv = R[r, c:] = (R[r, c:] * inv_mod(int(R[r, c]), p)) % p
+        rows = np.flatnonzero(R[:, c])
+        rows = rows[rows != r]
+        if rows.size:
+            R[rows, c:] = (R[rows, c:] - np.outer(R[rows, c], piv)) % p
         pivots.append(c)
         r += 1
     return R, pivots
@@ -74,24 +78,27 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     K = _zeros(ncols, len(free))
-    for j, fc in enumerate(free):
-        K[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            K[pc, j] = (-int(R[i, fc])) % p
+    K[free, np.arange(len(free))] = 1
+    K[pivots] = (-R[: len(pivots), free]) % p
     return K
 
 
 def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of A x = b mod p, or None if b is outside the span."""
-    nrows, ncols = A.shape
-    aug = np.concatenate([A, np.asarray(b, dtype=np.int64).reshape(nrows, 1)], axis=1)
+    """One solution x of A x = b mod p, or None if b is outside the span.
+
+    b is a vector or a matrix; a matrix is solved column by column with one
+    reduction of [A | b], giving one column of x per column of b, and the
+    result is None if any column is outside the span.
+    """
+    ncols = A.shape[1]
+    B = np.asarray(b, dtype=np.int64)
+    aug = np.concatenate([A, B if B.ndim == 2 else B[:, None]], axis=1)
     R, pivots = row_reduce(aug, p)
-    if ncols in pivots:
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, ncols]
-    return x
+    x = _zeros(ncols, R.shape[1] - ncols)
+    x[pivots] = R[: len(pivots), ncols:]
+    return x if B.ndim == 2 else x[:, 0]
 
 
 # -- sparse vector helpers -----------------------------------------------
@@ -368,7 +375,8 @@ class HomologySpace:
     The frame is the leftmost pivot columns of [boundaries | cycles]: the
     independent boundary columns, then the cycle-basis columns that extend
     them to a basis of the cycle space, which are the representatives.
-    coords() expresses any cycle's class in that basis.
+    coords() expresses a list of cycles' classes in that basis, one column
+    per cycle.
     """
 
     def __init__(self, cx: ScalarComplex, h: int):
@@ -392,19 +400,21 @@ class HomologySpace:
             out.append({g: int(c) for g, c in zip(self.tgts, col) if c})
         return out
 
-    def coords(self, vec: Vec) -> np.ndarray:
-        """Class of a cycle in the representative basis."""
-        b = np.array([vec.get(g, 0) for g in self.tgts], dtype=np.int64)
-        x = solve(self._frame, b, self.cx.p)
+    def coords(self, vecs: list[Vec]) -> np.ndarray:
+        """Classes of cycles in the representative basis, one column each.
+
+        All the cycles are solved against the frame in one reduction.
+        """
+        if not vecs:
+            return _zeros(self.dim, 0)
+        B = np.array([[v.get(g, 0) for v in vecs] for g in self.tgts], dtype=np.int64)
+        x = solve(self._frame, B.reshape(-1, len(vecs)), self.cx.p)
         assert x is not None, "vector is not a cycle in this degree"
-        return x[self.boundary_rank :] % self.cx.p
+        return x[self.boundary_rank :]
 
 
 def induced_matrix(
     f: Callable[[Vec], Vec], src: HomologySpace, dst: HomologySpace
 ) -> np.ndarray:
     """Matrix of the map a chain map induces on homology, rep basis to rep basis."""
-    M = _zeros(dst.dim, src.dim)
-    for j, rep in enumerate(src.rep_vectors()):
-        M[:, j] = dst.coords(f(rep))
-    return M
+    return dst.coords([f(rep) for rep in src.rep_vectors()])

@@ -428,12 +428,7 @@ def band_images(
         else:
             y = x0
             h = cube.cx.grading[next(iter(y))][0]
-        yr = trace.project(y)
-        if h not in spaces:
-            spaces[h] = HomologySpace(tgt, h)
-        hs = spaces[h]
-        cy = hs.coords(yr)
-
+        cycles = [trace.project(y)]
         if compat:
             if pb.ident == 0:
                 x1 = cube.state_class(bits0[:i] + (1,) + bits0[i + 1 :], rev_e, rev_l)
@@ -443,7 +438,13 @@ def band_images(
                 assert cube.cx.grading[g][0] == h, (
                     "band image and target sit in different degrees"
                 )
-            cx1 = hs.coords(trace.project(x1))
+            cycles.append(trace.project(x1))
+        if h not in spaces:
+            spaces[h] = HomologySpace(tgt, h)
+        cs = spaces[h].coords(cycles)
+        cy = cs[:, 0]
+        if compat:
+            cx1 = cs[:, 1]
             out.append(
                 BandImage(flips, True, h, cy, cx1, _proportionality(cy, cx1, p))
             )

@@ -97,7 +97,8 @@ def read_pd(text: str) -> LinkDiagram:
 
 def write_pd(D: LinkDiagram) -> str:
     """Emit a PD code, relabeling edges 1.. along each component in turn."""
-    assert not D.loops, "crossing-free loops have no PD representation"
+    if D.loops:
+        raise ValueError("crossing-free loops have no PD representation")
     label: dict[int, int] = {}
     nxt = 1
     for comp in D.components():

@@ -64,6 +64,61 @@ def test_row_reduce_and_rank():
             assert rank(K, p) == n - r
 
 
+def full_row_reduce(A, p):
+    """The row reduction that rewrites the whole matrix at every pivot,
+    kept as the oracle for row_reduce."""
+    R = np.mod(A.astype(np.int64, copy=True), p)
+    nrows, ncols = R.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        hot = np.nonzero(R[r:, c])[0]
+        if hot.size == 0:
+            continue
+        i = r + int(hot[0])
+        if i != r:
+            R[[r, i]] = R[[i, r]]
+        R[r] = (R[r] * inv_mod(int(R[r, c]), p)) % p
+        other = R[:, c].copy()
+        other[r] = 0
+        if other.any():
+            R = (R - np.outer(other, R[r])) % p
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def assert_same_reduction(A, p):
+    R, pivots = row_reduce(A, p)
+    R0, pivots0 = full_row_reduce(A, p)
+    assert pivots == pivots0
+    assert R.dtype == R0.dtype and R.shape == R0.shape and (R == R0).all()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_row_reduce_matches_full_reduction(p):
+    rng = np.random.default_rng(p)
+    shapes = [(0, 0), (0, 4), (5, 0), (1, 1), (7, 3), (3, 7), (12, 12), (20, 31)]
+    for m, n in shapes:
+        for fill in (0.1, 0.5, 1.0):
+            for _ in range(4):
+                A = rng.integers(1, p, size=(m, n)) * (rng.random((m, n)) < fill)
+                # entries outside 0..p-1 are reduced first
+                assert_same_reduction(A + p * rng.integers(-2, 3, size=(m, n)), p)
+
+
+@pytest.mark.parametrize("theory", [khovanov(3), lee_deformation(3)])
+def test_row_reduce_matches_full_reduction_on_a_cube(theory):
+    cx = CubeComplex(braid_closure(BraidWord(3, (1, -2, 1, -2))), theory).cx
+    hs = sorted({h for h, _ in cx.grading.values()})
+    for h in hs:
+        A = cx.dense_block(cx.gens_at(h), cx.gens_at(h + 1))
+        assert_same_reduction(A, cx.p)
+        assert_same_reduction(A.T, cx.p)
+
+
 def test_solve_negative_case():
     A = np.array([[1], [0]], dtype=np.int64)
     assert solve(A, np.array([0, 1]), 3) is None
@@ -82,11 +137,35 @@ def test_solve_roundtrip(m, n, p, rng):
     A = np.array(
         [[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64
     ).reshape(m, n)
-    x = np.array([rng.randrange(p) for _ in range(n)], dtype=np.int64)
-    b = (A @ x) % p if n else np.zeros(m, dtype=np.int64)
-    x2 = solve(A, b, p)
-    assert x2 is not None
-    assert ((A @ x2) % p == b).all() if n else True
+    for k in (None, 2):
+        shape = (n,) if k is None else (n, k)
+        x = np.array([rng.randrange(p) for _ in range(n * (k or 1))], dtype=np.int64)
+        b = (A @ x.reshape(shape)) % p
+        x2 = solve(A, b, p)
+        assert x2 is not None and x2.shape == shape
+        assert ((A @ x2) % p == b).all()
+
+
+def test_matrix_solve_is_columnwise_solve():
+    rng = np.random.default_rng(5)
+    spoiled = 0
+    for p in PRIMES:
+        for m, n, k in [(4, 6, 3), (6, 3, 4), (5, 5, 1), (3, 0, 2), (0, 3, 2)]:
+            A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.6)
+            B = (A @ rng.integers(0, p, size=(n, k))) % p
+            X = solve(A, B, p)
+            assert X is not None and X.shape == (n, k)
+            for j in range(k):
+                assert (X[:, j] == solve(A, B[:, j], p)).all()
+            # one column outside the span spoils the whole matrix
+            outside = [e for e in np.eye(m, dtype=np.int64) if solve(A, e, p) is None]
+            for e in outside[:1]:
+                for j in range(k):
+                    bad = B.copy()
+                    bad[:, j] = e
+                    assert solve(A, bad, p) is None
+                    spoiled += 1
+    assert spoiled
 
 
 def test_vec_helpers():
@@ -272,6 +351,7 @@ def test_one_echelon_form_per_homology_question(monkeypatch):
 
     monkeypatch.setattr(chain_algebra, "row_reduce", counted)
     D = braid_closure(BraidWord(3, (1, -2, 1, -2)))
+    dims = set()
     for th in (khovanov(3), lee_deformation(3)):
         cube = CubeComplex(D, th)
         for h in range(-3, 3):
@@ -279,10 +359,17 @@ def test_one_echelon_form_per_homology_question(monkeypatch):
             space = HomologySpace(cube.cx, h)
             # nullspace of d_out, then [boundaries | cycles]
             assert calls[0] <= 2, (th, h, space.dim)
+            # one solve for all the representatives, none with no homology
+            calls[0] = 0
+            M = induced_matrix(lambda v: v, space, space)
+            assert calls[0] == (1 if space.dim else 0), (th, h, space.dim)
+            assert (M == np.eye(space.dim, dtype=np.int64)).all()
+            dims.add(space.dim > 0)
         if not th.q_exact:
             calls[0] = 0
             assert cube.cx.filtration_level(cube.canonical_cycle()) == -1
             assert calls[0] == 1
+    assert dims == {True, False}
 
 
 def test_homology_space_and_induced_matrix():
@@ -298,11 +385,14 @@ def test_homology_space_and_induced_matrix():
     assert h0.dim == 1 and h1.dim == 0
     rep = h0.rep_vectors()[0]
     # the class of a - b spans, and coords are stable under adding cycles
-    assert h0.coords(rep).tolist() != [0]
+    assert h0.coords([rep]).tolist() != [[0]]
     ident = induced_matrix(lambda v: v, h0, h0)
     assert ident.shape == (1, 1) and ident[0, 0] != 0
     zero = induced_matrix(lambda v: {}, h0, h0)
     assert not zero.any()
+    assert h0.coords([]).shape == (1, 0)
+    with pytest.raises(AssertionError, match="not a cycle"):
+        h0.coords([rep, {a: 1}])
 
 
 def test_homology_dims_two_term():

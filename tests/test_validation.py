@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings
-from khovanov_cables.cabling import CableMeta, orientation_flips
+from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
 from khovanov_cables.cobordism import block_shifts
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
 from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
 from khovanov_cables.lee import s_invariant
-from khovanov_cables.pdcodes import read_pd
+from khovanov_cables.pdcodes import read_pd, write_pd
 from khovanov_cables.scanning import scan_complex
 
 TESTS = Path(__file__).resolve().parent
@@ -85,6 +85,11 @@ BAD_INPUT = [
     ("read_pd", ("PD[X[1,2,3], X[3,2,1]]",)),
     ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
     ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
+    ("write_pd", (TRIO.with_free_loop(),)),
+    ("cable_insert", (braid_closure(BraidWord(2, (1, 1))), 0, BraidWord(2, (1,)))),
+    ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
+    ("cable_insert", (TRIO, 0, BraidWord(2, (1,)), 99)),
+    ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
 ]
 
 

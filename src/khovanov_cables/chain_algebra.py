@@ -296,12 +296,18 @@ class ScalarComplex:
 
     # simplification
 
-    def simplify(self, track: bool = False) -> SimplifyTrace | None:
+    def simplify(self, track: bool = False, side=None) -> SimplifyTrace | None:
         """Eliminate every invertible entry with no q jump, in place.
 
         A q-exact complex ends with zero differential; a filtered one keeps
         only strictly q-raising entries. With track=True the steps are
         recorded so cycles can be projected down and lifted back.
+
+        With side, a set of generator ids, only entries whose two ends are
+        both in side or both outside it are eliminated.  If side spans a
+        subcomplex, it stays one and its complement the quotient: cancelling
+        x -> y adds entries z -> w for z -> y and x -> w, so w is in side
+        when x is, and z is outside side when y is.
         """
         trace = SimplifyTrace(self.p) if track else None
         stack = [(s, t) for s, col in self.cols.items() for t in col]
@@ -313,6 +319,8 @@ class ScalarComplex:
             if not u:
                 continue
             if not self.q_exact and self.grading[s][1] != self.grading[t][1]:
+                continue
+            if side is not None and (s in side) != (t in side):
                 continue
             stack.extend(self._eliminate(s, t, u, trace))
         return trace

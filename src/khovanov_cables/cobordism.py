@@ -18,6 +18,7 @@ exact sequence together with their rank bookkeeping.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -462,7 +463,11 @@ class ConeSlices:
     subcomplex, the 0-smoothing side the quotient.  All three share the
     ambient generator ids, so inclusion is the identity on coordinates,
     projection just drops the subcomplex part, and the connecting map is
-    the ambient differential applied to a quotient cycle."""
+    the ambient differential applied to a quotient cycle.
+
+    reduced() is the same cone after Gaussian elimination within each
+    side; its long exact sequence is isomorphic to this one.  les_report
+    computes on reduced() but takes its gradings from the cone given."""
 
     theory: Theory
     cx: ScalarComplex
@@ -486,6 +491,34 @@ class ConeSlices:
         assert all(g in self.sub_ids for g in y), "connecting map left the subcomplex"
         return y
 
+    def _check_sub_closed(self) -> None:
+        """Assert that no entry of d leaves the 1-side."""
+        for g in self.sub_ids:
+            assert all(t in self.sub_ids for t in self.cx.cols[g]), (
+                "differential escaped the 1-smoothing side"
+            )
+
+    def reduced(self) -> "ConeSlices":
+        """A shallow copy whose complex is simplified within each side.
+
+        Only entries with both ends on one side are eliminated, so the
+        1-side stays a subcomplex and the 0-side its quotient.  Structure
+        maps set on this instance carry over to the copy.
+        """
+        cx = self.cx.copy()
+        cx.simplify(side=self.sub_ids)
+        out = copy.copy(self)
+        out.cx = cx
+        out.sub_ids = self.sub_ids.intersection(cx.grading)
+        out.quot_ids = self.quot_ids.intersection(cx.grading)
+        out._check_sub_closed()
+        return out
+
+
+def _crossing_ok(D: LinkDiagram, cid: int) -> None:
+    if cid not in D.crossings:
+        raise ValueError(f"crossing {cid} is not in the diagram")
+
 
 def cone_over_crossing(
     D: LinkDiagram,
@@ -497,16 +530,15 @@ def cone_over_crossing(
     cone.  Elimination at `cid` stays within each smoothing's side, so
     the sub and quotient blocks come out already reduced.  Scales to
     diagrams far beyond the full cube."""
+    _crossing_ok(D, cid)
     res = scan_complex(D, theory, flips=flips, split_at=cid)
     sub = frozenset(res.split["one"])
     quot = frozenset(res.split["zero"])
     assert sub.isdisjoint(quot)
     assert sub | quot == set(res.complex.grading)
-    for g in sub:
-        assert all(t in sub for t in res.complex.cols[g]), (
-            "differential escaped the 1-smoothing side"
-        )
-    return ConeSlices(theory, res.complex, sub, quot)
+    cone = ConeSlices(theory, res.complex, sub, quot)
+    cone._check_sub_closed()
+    return cone
 
 
 def cone_from_cube(
@@ -516,6 +548,7 @@ def cone_from_cube(
     flips: frozenset[int] = frozenset(),
 ) -> ConeSlices:
     """Cube-route cone for small diagrams; mainly a cross-check."""
+    _crossing_ok(D, cid)
     cube = CubeComplex(D, theory, flips)
     i = cube.cids.index(cid)
     sub = frozenset(g for (bits, _), g in cube.gid.items() if bits[i] == 1)
@@ -555,28 +588,26 @@ def les_report(cone: ConeSlices) -> TriangleReport:
     vanishing of consecutive composites, at homology level.
 
     A q-exact theory is audited in each quantum grading separately; a
-    deformed theory in homological grading only.
+    deformed theory in homological grading only.  The gradings and each
+    one's range of h are those of the cone as given; the homology and
+    the induced maps are computed on cone.reduced(), whose sequence is
+    isomorphic, so every rank is the same.
     """
+    spans: dict = {}  # q (None when deformed) -> (lowest h, highest h)
+    for h, q in cone.cx.grading.values():
+        key = q if cone.cx.q_exact else None
+        lo, hi = spans.get(key, (h, h))
+        spans[key] = (min(lo, h), max(hi, h))
+    cone = cone.reduced()
     cx = cone.cx
     p = cx.p
     rep = TriangleReport(label=theory_label(cone.theory))
-    if cx.q_exact:
-        qs = sorted({q for (_, q) in cx.grading.values()})
-        groups = [
-            (q, {g for g, (_, qq) in cx.grading.items() if qq == q})
-            for q in qs
-        ]
-    else:
-        groups = [(None, set(cx.grading))]
-
-    for q, gens in groups:
+    for q in sorted(spans):
+        lo, hi = spans[q][0] - 1, spans[q][1] + 1
+        gens = {g for g, (_, qq) in cx.grading.items() if q is None or qq == q}
         amb = cx.restrict(gens)
         sub = cx.restrict(gens & cone.sub_ids)
         quo = cx.restrict(gens & cone.quot_ids)
-        hs = {h for (h, _) in amb.grading.values()}
-        if not hs:
-            continue
-        lo, hi = min(hs) - 1, max(hs) + 1
         A = {h: HomologySpace(amb, h) for h in range(lo, hi + 1)}
         S = {h: HomologySpace(sub, h) for h in range(lo, hi + 1)}
         Q = {h: HomologySpace(quo, h) for h in range(lo, hi + 1)}
@@ -713,6 +744,7 @@ def skein_triangle(
     flips: frozenset[int] = frozenset(),
     p: int = 3,
 ) -> SkeinTriangle:
+    _crossing_ok(D, cid)
     if theories is None:
         theories = (khovanov(p), lee_deformation(p), bar_natan_deformation(p))
     sign = D.crossing_sign(cid, flips)

@@ -3,11 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid
+from khovanov_cables.chain_algebra import HomologySpace, induced_matrix, rank
 from khovanov_cables.cobordism import (
     BandSpec,
+    TriangleReport,
     band_images,
     band_orientable,
     block_shifts,
@@ -18,6 +21,7 @@ from khovanov_cables.cobordism import (
     plumb_band,
     skein_triangle,
     surgered_diagram,
+    theory_label,
 )
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.diagrams import LinkDiagram
@@ -325,3 +329,132 @@ def test_exactness_failure_is_detected():
     cone.include = lambda v: {}
     rep = les_report(cone)
     assert not rep.ok and rep.failures
+
+
+def test_exactness_failure_is_detected_on_a_cube_cone():
+    th = khovanov(3)
+    D = cl(1, 1)
+    cone = cone_from_cube(D, th, max(D.crossings))
+    assert les_report(cone).ok
+    cone.include = lambda v: {}
+    rep = les_report(cone)
+    assert not rep.ok and rep.failures
+
+
+# -- the reduction within each side of a cone -------------------------------
+
+
+def dense_les_report(cone):
+    """The long-exact-sequence audit on the unreduced cone, kept as the
+    oracle for les_report."""
+    cx = cone.cx
+    p = cx.p
+    rep = TriangleReport(label=theory_label(cone.theory))
+    if cx.q_exact:
+        qs = sorted({q for (_, q) in cx.grading.values()})
+        groups = [
+            (q, {g for g, (_, qq) in cx.grading.items() if qq == q})
+            for q in qs
+        ]
+    else:
+        groups = [(None, set(cx.grading))]
+
+    for q, gens in groups:
+        amb = cx.restrict(gens)
+        sub = cx.restrict(gens & cone.sub_ids)
+        quo = cx.restrict(gens & cone.quot_ids)
+        hs = {h for (h, _) in amb.grading.values()}
+        if not hs:
+            continue
+        lo, hi = min(hs) - 1, max(hs) + 1
+        A = {h: HomologySpace(amb, h) for h in range(lo, hi + 1)}
+        S = {h: HomologySpace(sub, h) for h in range(lo, hi + 1)}
+        Q = {h: HomologySpace(quo, h) for h in range(lo, hi + 1)}
+        Mi = {h: induced_matrix(cone.include, S[h], A[h]) for h in range(lo, hi + 1)}
+        Mp = {h: induced_matrix(cone.project, A[h], Q[h]) for h in range(lo, hi + 1)}
+        Md = {h: induced_matrix(cone.connect, Q[h], S[h + 1]) for h in range(lo, hi)}
+        ri = {h: rank(Mi[h], p) for h in Mi}
+        rp = {h: rank(Mp[h], p) for h in Mp}
+        rd = {h: rank(Md[h], p) for h in Md}
+        rows = []
+        for h in range(lo, hi + 1):
+            for name, lhs, rhs in (
+                ("sub-dim", S[h].dim, ri[h] + rd.get(h - 1, 0)),
+                ("total-dim", A[h].dim, ri[h] + rp[h]),
+                ("quot-dim", Q[h].dim, rp[h] + rd.get(h, 0)),
+            ):
+                rep.checks += 1
+                if lhs != rhs:
+                    rep.failures.append((q, h, name, lhs, rhs))
+            if np.any((Mp[h] @ Mi[h]) % p):
+                rep.failures.append((q, h, "project-include", None, None))
+            rep.checks += 1
+            if h in Md:
+                if np.any((Md[h] @ Mp[h]) % p):
+                    rep.failures.append((q, h, "connect-project", None, None))
+                if np.any((Mi[h + 1] @ Md[h]) % p):
+                    rep.failures.append((q, h, "include-connect", None, None))
+                rep.checks += 2
+            rows.append((h, S[h].dim, A[h].dim, Q[h].dim, ri[h], rp[h], rd.get(h)))
+        rep.buckets.append({"q": q, "rows": rows})
+    return rep
+
+
+THEORIES = [khovanov(3), lee_deformation(3), bar_natan_deformation(3)]
+
+
+def random_cones(seed, count):
+    """Seeded (closure, crossing) pairs of 2-3 strands and 1-6 letters."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        D = braid_closure(random_braid(rng, rng.choice([2, 3]), rng.randint(1, 6)))
+        out.append((D, rng.choice(sorted(D.crossings))))
+    return out
+
+
+@pytest.mark.parametrize("th", THEORIES, ids=theory_label)
+def test_les_report_matches_the_unreduced_report(th):
+    # all-zero rows and buckets whose reduced block is empty included
+    for D, cid in random_cones(6061, 14):
+        for route in (cone_from_cube, cone_over_crossing):
+            cone = route(D, th, cid)
+            want = dense_les_report(cone)
+            got = les_report(cone)
+            assert got.label == want.label
+            assert got.buckets == want.buckets, (route.__name__, cid)
+            assert (got.checks, got.failures) == (want.checks, want.failures)
+
+
+@pytest.mark.parametrize("th", THEORIES, ids=theory_label)
+def test_side_respecting_simplify_keeps_the_cone(th):
+    shrunk = 0
+    for D, cid in random_cones(7177, 12):
+        cone = cone_from_cube(D, th, cid)
+        cx = cone.cx.copy()
+        trace = cx.simplify(track=True, side=cone.sub_ids)
+        sub = cone.sub_ids.intersection(cx.grading)
+        quot = cone.quot_ids.intersection(cx.grading)
+        for g in sub:
+            assert all(t in sub for t in cx.cols[g]), "an entry left the 1-side"
+        # an unrestricted simplify leaves a q-exact cone no entries at all,
+        # so the steps themselves must each stay on one side
+        for st in trace.steps:
+            assert (st.src in cone.sub_ids) == (st.dst in cone.sub_ids), "a step crossed sides"
+        assert cx.restrict(sub).homology_dims() == cone.sub_complex().homology_dims()
+        assert cx.restrict(quot).homology_dims() == cone.quot_complex().homology_dims()
+        assert cx.homology_dims() == cone.cx.homology_dims()
+        shrunk += cx.dim < cone.cx.dim
+    assert shrunk
+
+
+def test_reduced_keeps_a_structure_map_set_on_the_instance():
+    D = cl(1, 1, 1)
+    cone = cone_from_cube(D, khovanov(3), max(D.crossings))
+    dim = cone.cx.dim
+    zero = lambda v: {}
+    cone.include = zero
+    red = cone.reduced()
+    assert red.include is zero and red.cx is not cone.cx
+    assert red.sub_ids | red.quot_ids == set(red.cx.grading) and red.cx.dim < dim
+    assert cone.cx.dim == dim

@@ -10,7 +10,7 @@ import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings
 from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
-from khovanov_cables.cobordism import block_shifts
+from khovanov_cables.cobordism import block_shifts, cone_from_cube, cone_over_crossing, skein_triangle
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
 from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
@@ -90,6 +90,9 @@ BAD_INPUT = [
     ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
     ("cable_insert", (TRIO, 0, BraidWord(2, (1,)), 99)),
     ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
+    ("cone_over_crossing", (TRIO, khovanov(3), 99)),
+    ("cone_from_cube", (TRIO, khovanov(3), 99)),
+    ("skein_triangle", (TRIO, 99)),
 ]
 
 
@@ -101,6 +104,15 @@ def call(name, args):
 @pytest.mark.parametrize("name, args", BAD_INPUT)
 def test_harness_rejects_bad_input(name, args):
     with pytest.raises(ValueError):
+        call(name, args)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [row for row in BAD_INPUT if row[0] in ("cone_over_crossing", "cone_from_cube", "skein_triangle")],
+)
+def test_cone_builders_name_a_missing_crossing(name, args):
+    with pytest.raises(ValueError, match="crossing 99 "):
         call(name, args)
 
 

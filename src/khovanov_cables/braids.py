@@ -32,7 +32,8 @@ class BraidWord:
                 raise ValueError(f"bad letter {l}")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        assert self.strands == other.strands
+        if self.strands != other.strands:
+            raise ValueError(f"cannot multiply {self.strands}- and {other.strands}-strand words")
         return BraidWord(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
@@ -96,18 +97,12 @@ class BraidWord:
         return cls(int(head.strip()), letters)
 
 
-def row_word(m: int, a: int, i: int, flipped: bool = False) -> BraidWord:
+def row_word(m: int, a: int, i: int) -> BraidWord:
     """Positive word on 2m+1 strands: a full rows of ascending generators,
-    then a partial row of length i (prefix normally, relabeled suffix when
-    flipped so the partial row hugs the other edge of the braid)."""
-    assert m >= 0 and 0 <= a and 0 <= i <= 2 * m
-    n = 2 * m + 1
-    full = tuple(range(1, n))
-    if not flipped:
-        letters = full * a + tuple(range(1, i + 1))
-    else:
-        letters = tuple(range(n - i, n)) + full * a
-    return BraidWord(n, letters)
+    then the first i letters of one more row."""
+    if not (m >= 0 and a >= 0 and 0 <= i <= 2 * m):
+        raise ValueError(f"row_word({m}, {a}, {i}): need m >= 0, a >= 0, 0 <= i <= 2m")
+    return BraidWord(2 * m + 1, tuple(range(1, 2 * m + 1)) * a + tuple(range(1, i + 1)))
 
 
 def full_twist(strands: int, count: int = 1) -> BraidWord:

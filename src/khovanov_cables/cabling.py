@@ -107,35 +107,34 @@ def cable_insert(
     return (D, meta) if with_meta else D
 
 
+def satellite_word(base: BraidWord, f: int, pattern: BraidWord) -> BraidWord:
+    """The f-framed satellite as a braid word: the companion cabled strand
+    by strand, then the framing twists and the pattern on the first
+    bundle's columns."""
+    N = pattern.strands
+    tangle = full_twist(N, f - base.writhe) * pattern
+    return BraidWord(base.strands * N, cable_word(base, N).letters + tangle.letters)
+
+
 def cable_of_braid(
     base: BraidWord, f: int, pattern: BraidWord, with_meta: bool = False
 ):
-    """Braid-route construction of the same satellite: cable the word
-    strand by strand, then append the framing twists and the pattern on
-    the first bundle's columns."""
+    """Braid-route construction of the same satellite: the closure of its
+    satellite_word."""
     if len(base.closure_cycles()) != 1:
         raise ValueError("companion must close to a knot")
-    N = pattern.strands
-    tangle = full_twist(N, f - base.writhe) * pattern
-    lifted = BraidWord(base.strands * N, cable_word(base, N).letters + tangle.letters)
-    D, cols = braid_closure(lifted, with_columns=True)
-    meta = _meta_from_columns(D, cols[:N])
+    D, cols = braid_closure(satellite_word(base, f, pattern), with_columns=True)
+    meta = _meta_from_columns(D, cols[: pattern.strands])
     return (D, meta) if with_meta else D
 
 
 def cable_family_diagram(
-    base,
-    f: int,
-    m: int,
-    a: int = 0,
-    i: int = 0,
-    flipped: bool = False,
-    with_meta: bool = False,
+    base, f: int, m: int, a: int = 0, i: int = 0, with_meta: bool = False
 ):
     """Width-(2m+1) family member over a companion knot: pattern rows
     spliced into the f-framed cable. base may be a BraidWord or a
     one-component LinkDiagram."""
-    pattern = row_word(m, a, i, flipped)
+    pattern = row_word(m, a, i)
     if isinstance(base, BraidWord):
         return cable_of_braid(base, f, pattern, with_meta)
     return cable_insert(base, f, pattern, with_meta=with_meta)

@@ -371,7 +371,8 @@ class LinkDiagram:
 
     def add_kink(self, eid: int, sign: int) -> "LinkDiagram":
         """Insert a one-crossing curl of the given sign on edge eid."""
-        assert sign in (1, -1)
+        if sign not in (1, -1):
+            raise ValueError(f"kink sign {sign} is not 1 or -1")
         D = self.copy()
         old = D.edges[eid]
         tail, head = old.ends

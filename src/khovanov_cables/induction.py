@@ -22,6 +22,11 @@ the words, orientation-class degrees on the diagrams, and the grading
 translation that matches the resolved block's homology to a smaller
 member) and all three must agree, be nonnegative, and be positive when
 the pattern is not a full twist.
+
+An entry's audit reads up to three member diagrams (the entry, its
+neighbour with one tail letter less, the full twist of its framing and
+level); `audit_entry` builds each once for `triangle_facts` and
+`linking_checks`, and keeps nothing across entries but `tables`.
 """
 
 from __future__ import annotations
@@ -29,14 +34,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braids import (
-    BraidWord,
-    cable_word,
-    count_inter_crossings,
-    full_twist,
-    row_word,
-)
-from .cabling import alternating_flips, cable_family_diagram
+from .braids import BraidWord, count_inter_crossings, row_word
+from .cabling import alternating_flips, cable_family_diagram, satellite_word
 from .chain_algebra import HomologySpace, induced_matrix, rank
 from .cobordism import cone_over_crossing
 from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
@@ -101,11 +100,7 @@ def ladder(writhe: int, max_level: int) -> tuple[LadderEntry, ...]:
 
 def entry_word(base: BraidWord, e: LadderEntry) -> BraidWord:
     """Braid word whose closure is the entry's diagram."""
-    n = strand_width(e.level)
-    tangle = full_twist(n, e.framing - base.writhe) * row_word(
-        e.level, e.full_rows, e.tail
-    )
-    return BraidWord(base.strands * n, cable_word(base, n).letters + tangle.letters)
+    return satellite_word(base, e.framing, row_word(e.level, e.full_rows, e.tail))
 
 
 def duplicate_partner(e: LadderEntry, writhe: int) -> LadderEntry | None:
@@ -125,9 +120,10 @@ def duplicate_partner(e: LadderEntry, writhe: int) -> LadderEntry | None:
     return None
 
 
-def family_diagram(base, e: LadderEntry, with_meta: bool = False):
+def family_diagram(base, e: LadderEntry):
+    """The entry's diagram and its CableMeta."""
     return cable_family_diagram(
-        base, e.framing, e.level, e.full_rows, e.tail, with_meta=with_meta
+        base, e.framing, e.level, e.full_rows, e.tail, with_meta=True
     )
 
 
@@ -169,20 +165,12 @@ def smoothed_component_count(D: LinkDiagram, cid: int, r: int) -> int:
 # -- the one-crossing triangle at the last pattern letter ----------------
 
 
-def _occupancy(word: BraidWord, upto: int) -> list[int]:
-    occ = list(range(word.strands))
-    for l in word.letters[:upto]:
-        j = abs(l) - 1
-        occ[j], occ[j + 1] = occ[j + 1], occ[j]
-    return occ
-
-
 def site_strands(level: int, full_rows: int, tail: int) -> tuple[int, int]:
-    """The two pattern strands crossing at the last letter."""
+    """The two pattern strands crossing at the last letter: those in
+    columns tail-1 and tail after every earlier letter."""
     assert tail >= 1
-    w = row_word(level, full_rows, tail)
-    occ = _occupancy(w, len(w.letters) - 1)
-    return occ[tail - 1], occ[tail]
+    perm = row_word(level, full_rows, tail - 1).permutation()
+    return perm.index(tail - 1), perm.index(tail)
 
 
 def _single_strands(word: BraidWord) -> set[int]:
@@ -207,7 +195,8 @@ class TriangleFacts:
         return len(vals) == 1
 
 
-def triangle_facts(base, e: LadderEntry) -> TriangleFacts:
+def triangle_facts(e: LadderEntry, member) -> TriangleFacts:
+    """member(entry) gives an entry's (diagram, CableMeta)."""
     m, a, i, f = e.level, e.full_rows, e.tail, e.framing
     assert i >= 1
     word_l = row_word(m, a, i)
@@ -236,7 +225,7 @@ def triangle_facts(base, e: LadderEntry) -> TriangleFacts:
     )
 
     side_entry = e if case == "merge" else LadderEntry(f, m, a, i - 1)
-    Dg, mg = family_diagram(base, side_entry, with_meta=True)
+    Dg, mg = member(side_entry)
     by_gradings = tuple(
         gap
         - expected_h_difference(
@@ -248,28 +237,26 @@ def triangle_facts(base, e: LadderEntry) -> TriangleFacts:
     return TriangleFacts(case, valid, by_counts, by_gradings)
 
 
-def linking_checks(base, e: LadderEntry) -> list[str]:
+def linking_checks(e: LadderEntry, member) -> list[str]:
     """Diagram linking numbers against word counts, for every sublink of
     pattern strands.
 
     Two facts are checked exactly: moving a sublink's pattern crossings
     out to the full twist trades each for one unit of linking, and in
     the full-twist member the sublink's total linking is pinned by the
-    framing and bounded by the reversal span.
+    framing and bounded by the reversal span.  member(entry) gives an
+    entry's (diagram, CableMeta).
     """
     problems: list[str] = []
     m, f = e.level, e.framing
-    twist_entry = LadderEntry(f, m, 2 * m, 2 * m)
     twist_word = row_word(m, 2 * m, 2 * m)
-    C, meta_c = family_diagram(base, twist_entry, with_meta=True)
+    C, meta_c = member(LadderEntry(f, m, 2 * m, 2 * m))
     comps_c = set(range(len(C.components())))
 
-    sides = [(row_word(m, e.full_rows, e.tail), e)]
-    if e.tail >= 1:
-        o = LadderEntry(f, m, e.full_rows, e.tail - 1)
-        sides.append((row_word(m, o.full_rows, o.tail), o))
-    for word, side in sides:
-        D, meta = family_diagram(base, side, with_meta=True)
+    sides = [e, LadderEntry(f, m, e.full_rows, e.tail - 1)] if e.tail >= 1 else [e]
+    for side in sides:
+        word = row_word(m, side.full_rows, side.tail)
+        D, meta = member(side)
         comps_all = set(range(len(D.components())))
         cycles = word.closure_cycles()
         for bits in range(1, (1 << len(cycles)) - 1):
@@ -287,21 +274,13 @@ def linking_checks(base, e: LadderEntry) -> list[str]:
                 count_inter_crossings(word, strands)
             )
             span = reversal_span(m, len(strands))
+            where = f"{side.label()} strands {sorted(strands)}:"
             if lk_here + moved != lk_twist:
-                problems.append(
-                    f"{side.label()} strands {sorted(strands)}:"
-                    f" linking {lk_here} + moved {moved} != {lk_twist}"
-                )
+                problems.append(f"{where} linking {lk_here} + moved {moved} != {lk_twist}")
             if lk_twist != (f + 1) * span:
-                problems.append(
-                    f"{side.label()} strands {sorted(strands)}:"
-                    f" twist linking {lk_twist} != {(f + 1) * span}"
-                )
+                problems.append(f"{where} twist linking {lk_twist} != {(f + 1) * span}")
             if lk_twist > span:
-                problems.append(
-                    f"{side.label()} strands {sorted(strands)}:"
-                    f" twist linking {lk_twist} above span {span}"
-                )
+                problems.append(f"{where} twist linking {lk_twist} above span {span}")
     return problems
 
 
@@ -336,18 +315,18 @@ class EntryRecord:
     entry: LadderEntry
     crossings: int
     status: str  # "scanned" | "duplicate" | "skipped"
-    duplicate_of: LadderEntry | None
-    vanishing_ok: bool | None
-    top_dim: int | None
-    census_top: int
-    top_match_ok: bool | None
-    triangle: TriangleFacts | None
-    degree_by_blocks: int | None
-    block_certified: bool | None
-    quotient_certified: bool | None
-    lee_scan_ok: bool | None
-    problems: tuple[str, ...]
-    seconds: float
+    duplicate_of: LadderEntry | None = None
+    vanishing_ok: bool | None = None
+    top_dim: int | None = None
+    census_top: int = 0
+    top_match_ok: bool | None = None
+    triangle: TriangleFacts | None = None
+    degree_by_blocks: int | None = None
+    block_certified: bool | None = None
+    quotient_certified: bool | None = None
+    lee_scan_ok: bool | None = None
+    problems: tuple[str, ...] = ()
+    seconds: float = 0.0
 
 
 @dataclass
@@ -402,26 +381,24 @@ def audit_entry(
         if entry_word(base, partner).letters != word.letters:
             problems.append(f"duplicate of {partner.label()} is not word-equal")
         ref = tables.get(_resolve(e, writhe))
-        rec = ref["record"] if ref else None
+        # with nothing scanned to inherit from, the defaults stand
+        rec = ref["record"] if ref else EntryRecord(e, crossings, "duplicate")
         return EntryRecord(
-            entry=e,
-            crossings=crossings,
-            status="duplicate",
-            duplicate_of=partner,
-            vanishing_ok=rec.vanishing_ok if rec else None,
-            top_dim=rec.top_dim if rec else None,
-            census_top=rec.census_top if rec else 0,
-            top_match_ok=rec.top_match_ok if rec else None,
-            triangle=None,
-            degree_by_blocks=None,
-            block_certified=None,
-            quotient_certified=None,
-            lee_scan_ok=None,
-            problems=tuple(problems),
-            seconds=time.monotonic() - t0,
+            e, crossings, "duplicate", duplicate_of=partner,
+            vanishing_ok=rec.vanishing_ok, top_dim=rec.top_dim,
+            census_top=rec.census_top, top_match_ok=rec.top_match_ok,
+            problems=tuple(problems), seconds=time.monotonic() - t0,
         )
 
-    D, meta = family_diagram(base, e, with_meta=True)
+    # each member this entry reads is built once, and dropped on return
+    built: dict = {}
+
+    def member(entry: LadderEntry):
+        if entry not in built:
+            built[entry] = family_diagram(base, entry)
+        return built[entry]
+
+    D, _ = member(e)
     if len(D.crossings) != crossings:
         problems.append(
             f"diagram has {len(D.crossings)} crossings, word {crossings}"
@@ -434,7 +411,7 @@ def audit_entry(
     block_certified = None
     quotient_certified = None
     if e.tail >= 1:
-        tri = triangle_facts(base, e)
+        tri = triangle_facts(e, member)
         if not tri.consistent():
             problems.append(
                 f"triangle degree disagrees: counts {tri.degrees_by_counts},"
@@ -448,25 +425,12 @@ def audit_entry(
             )
         if tri.case == "split" and e.full_rows >= 2 * e.level:
             problems.append("split case reached a full-twist pattern")
-        problems.extend(linking_checks(base, e))
+        problems.extend(linking_checks(e, member))
 
     if crossings > budget:
         return EntryRecord(
-            entry=e,
-            crossings=crossings,
-            status="skipped",
-            duplicate_of=None,
-            vanishing_ok=None,
-            top_dim=None,
-            census_top=census_top,
-            top_match_ok=None,
-            triangle=tri,
-            degree_by_blocks=None,
-            block_certified=None,
-            quotient_certified=None,
-            lee_scan_ok=None,
-            problems=tuple(problems),
-            seconds=time.monotonic() - t0,
+            e, crossings, "skipped", census_top=census_top, triangle=tri,
+            problems=tuple(problems), seconds=time.monotonic() - t0,
         )
 
     th = khovanov(3)
@@ -554,10 +518,9 @@ def audit_entry(
             problems.append("deformed scan disagrees with the writhe census")
 
     rec = EntryRecord(
-        entry=e,
-        crossings=crossings,
-        status="scanned",
-        duplicate_of=None,
+        e,
+        crossings,
+        "scanned",
         vanishing_ok=vanishing_ok,
         top_dim=top_dim,
         census_top=census_top,
@@ -641,7 +604,7 @@ def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> Inclus
     m1 = level_to - 1
     e = LadderEntry(0, m2, 2 * m2, 2 * m2)
     th = khovanov(3)
-    D = family_diagram(base, e)
+    D, _ = family_diagram(base, e)
     cid = max(D.crossings)
     h0 = top_grading(m2)
     cone = cone_over_crossing(D, th, cid)
@@ -656,7 +619,7 @@ def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> Inclus
         problems.append(f"inclusion rank {rk} below block dimension {S.dim}")
 
     t_sub = sub_cx.homology_dims()
-    small = family_diagram(base, LadderEntry(0, m1, 2 * m1, 2 * m1))
+    small, _ = family_diagram(base, LadderEntry(0, m1, 2 * m1, 2 * m1))
     n_under = smoothed_component_count(D, cid, 1)
     extra = n_under - len(small.components())
     assert extra == 1, "the resolved block should free exactly one circle"

@@ -446,18 +446,23 @@ def scan_order(
         ]
         pool = adjacent if adjacent else sorted(remaining)
         best = min(pool, key=lambda cid: (width_after(cid), cid))
-        scanned.add(best)
         remaining.discard(best)
         order.append(best)
-        cr = D.crossings[best]
-        for e in {cr.slots[s][0] for s in range(4)}:
-            ends_unscanned = sum(1 for c2, _ in D.edges[e].ends if c2 not in scanned)
-            if ends_unscanned == 1:
-                open_edges.add(e)
-            else:
-                open_edges.discard(e)
-        girth = max(girth, len(open_edges))
+        girth = max(girth, _scan_past(D, best, scanned, open_edges))
     return order, girth
+
+
+def _scan_past(D: LinkDiagram, cid: int, scanned: set, open_edges: set) -> int:
+    """Mark cid scanned and return the new open width: an edge of cid is
+    open when exactly one of its ends is unscanned."""
+    scanned.add(cid)
+    cr = D.crossings[cid]
+    for e in {cr.slots[s][0] for s in range(4)}:
+        if sum(1 for c2, _ in D.edges[e].ends if c2 not in scanned) == 1:
+            open_edges.add(e)
+        else:
+            open_edges.discard(e)
+    return len(open_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -649,16 +654,7 @@ class _Scan:
             if pt is not None:
                 self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
 
-        self.scanned.add(cid)
-        for e in set(slot_edges):
-            ends_unscanned = sum(
-                1 for c2, _ in D.edges[e].ends if c2 not in self.scanned
-            )
-            if ends_unscanned == 1:
-                self.open.add(e)
-            else:
-                self.open.discard(e)
-        self.girth = max(self.girth, len(self.open))
+        self.girth = max(self.girth, _scan_past(D, cid, self.scanned, self.open))
 
         self._deloop_all(memo)
         self._eliminate_all(memo)

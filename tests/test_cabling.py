@@ -144,7 +144,6 @@ def test_row_word_lengths():
         for a in range(2 * m + 1):
             for i in range(2 * m + 1):
                 assert len(row_word(m, a, i).letters) == 2 * m * a + i
-                assert len(row_word(m, a, i, flipped=True).letters) == 2 * m * a + i
 
 
 def test_splice_respects_placement_darts():

@@ -1,16 +1,19 @@
 """The ladder harness: entry bookkeeping, smoothing counts, a small audit."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from khovanov_cables.braids import BraidWord, braid_closure, random_braid
+from khovanov_cables import induction
+from khovanov_cables.braids import BraidWord, braid_closure, random_braid, row_word
 from khovanov_cables.induction import (
     audit_family,
     duplicate_partner,
     entry_word,
     inclusion_report,
     ladder,
+    site_strands,
     slice_drop_report,
     smoothed_component_count,
     strand_width,
@@ -81,3 +84,50 @@ def test_unknot_slice_drop_is_verified(level):
     assert report.status == "verified", report
     assert report.s_companion == 0
     assert report.s_cable == report.expected == -2 * level
+
+
+def test_audit_entry_builds_each_member_once(monkeypatch):
+    builds = []
+    build = induction.cable_family_diagram
+
+    def counted(base, f, m, a=0, i=0, **kwargs):
+        builds.append((f, m, a, i))
+        return build(base, f, m, a, i, **kwargs)
+
+    def check(rec):
+        if rec.entry.level == 1 and rec.entry.tail >= 1:
+            # the entry, its shorter tail and the full twist
+            assert 2 <= len(builds) <= 3, (rec.entry.label(), builds)
+        assert len(builds) == len(set(builds)), (rec.entry.label(), builds)
+        builds.clear()
+
+    monkeypatch.setattr(induction, "cable_family_diagram", counted)
+    report = audit_family(UNKNOT, "unknot", max_level=1, progress=check)
+    assert report.ok(), report.problems()
+
+
+def _occupancy(word, upto):
+    """Strand in each column after the first upto letters."""
+    occ = list(range(word.strands))
+    for l in word.letters[:upto]:
+        j = abs(l) - 1
+        occ[j], occ[j + 1] = occ[j + 1], occ[j]
+    return occ
+
+
+def test_site_strands_match_the_column_walk():
+    for m in range(3):
+        for a in range(2 * m + 1):
+            for i in range(1, 2 * m + 1):
+                w = row_word(m, a, i)
+                occ = _occupancy(w, len(w.letters) - 1)
+                assert site_strands(m, a, i) == (occ[i - 1], occ[i]), (m, a, i)
+
+
+def test_mirror_trefoil_ladder_at_level_one():
+    report = audit_family(BraidWord(2, (-1, -1, -1)), "mirror trefoil", max_level=1, budget=26)
+    assert len(report.records) == 40
+    assert Counter(r.status for r in report.records) == {"skipped": 25, "duplicate": 14, "scanned": 1}
+    assert report.ok(), report.problems()
+    tails = [r for r in report.skipped() if r.entry.tail >= 1]
+    assert tails and all(r.triangle.consistent() for r in tails)

@@ -1,7 +1,9 @@
-"""Source checks: no shadowed definitions, no module-level caches, no dangling
-console scripts."""
+"""Source checks: no shadowed or unused definitions, no module-level caches,
+no dangling console scripts."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,34 @@ def _duplicates(path):
 
 def test_no_name_is_defined_twice_in_one_body():
     found = [d for path in sorted(SRC.rglob("*.py")) for d in _duplicates(path)]
+    assert not found, found
+
+
+def _module_and_class_definitions(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bodies = [tree.body] + [n.body for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    for body in bodies:
+        yield from _defined_names(body)
+
+
+def test_every_definition_is_used():
+    # a module- or class-level function or class whose name no other line
+    # of the source, the tests or the benchmark mentions is dead weight;
+    # dunder methods are called by the language itself
+    files = [p for d in ("src", "tests", "khbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    words = Counter(w for p in files for w in re.findall(r"\w+", p.read_text()))
+    defs = [
+        (path, name, line)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _module_and_class_definitions(path)
+        if not (name.startswith("__") and name.endswith("__"))
+    ]
+    times_defined = Counter(name for _, name, _ in defs)
+    found = [
+        f"{path.name}:{line} {name}"
+        for path, name, line in defs
+        if words[name] <= times_defined[name]
+    ]
     assert not found, found
 
 

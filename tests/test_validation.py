@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings
+from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
 from khovanov_cables.cobordism import block_shifts, cone_from_cube, cone_over_crossing, skein_triangle
 from khovanov_cables.cube import CubeComplex
@@ -59,6 +59,7 @@ def test_scan_rejects_orientations_naming_a_missing_component():
 # a knot: component 0 is its only one
 TRIO = braid_closure(BraidWord(2, (1, 1, 1)))
 TRIO_LEE = CubeComplex(TRIO, lee_deformation(3))
+THREE_STRANDS = BraidWord(3, (1,))
 
 # (callable name, args): each must raise ValueError, also under python -O;
 # a dotted name is read attribute by attribute from this module
@@ -93,6 +94,12 @@ BAD_INPUT = [
     ("cone_over_crossing", (TRIO, khovanov(3), 99)),
     ("cone_from_cube", (TRIO, khovanov(3), 99)),
     ("skein_triangle", (TRIO, 99)),
+    ("THREE_STRANDS.__mul__", (BraidWord(2, (1,)),)),
+    ("row_word", (1, -1, 0)),
+    ("row_word", (1, 0, 3)),
+    ("row_word", (1, 0, -1)),
+    ("row_word", (-1, 0, 0)),
+    ("TRIO.add_kink", (min(TRIO.edges), 2)),
 ]
 
 

@@ -67,20 +67,14 @@ def alternating_flips(meta: CableMeta) -> frozenset[int]:
     return orientation_flips(meta, set(range(1, meta.width, 2)))
 
 
-def cable_insert(
-    knot: LinkDiagram,
-    f: int,
-    pattern: BraidWord,
-    at_edge: int | None = None,
-    with_meta: bool = False,
-):
+def cable_insert(knot: LinkDiagram, f: int, pattern: BraidWord):
     """f-framed satellite: the pattern braid inserted into the blackboard
     N-strand parallel of the companion, N the pattern's strand count.
+    Returns the diagram and its CableMeta.
 
     The framing correction f - writhe(knot) is realized as full twists
     spliced next to the pattern (as single kinks when N = 1). The splice
-    lands on at_edge when given, else on the highest edge id not carrying
-    placement data.
+    lands on the highest edge id not carrying placement data.
     """
     if len(knot.components()) != 1:  # a free loop is a component too
         raise ValueError("cable companion must be a knot diagram")
@@ -90,21 +84,18 @@ def cable_insert(
 
     if N == 1:
         assert not pattern.letters
-        return _framed_copy(knot, twists, with_meta)
+        return _framed_copy(knot, twists)
 
     word = full_twist(N, twists) * pattern
     if not knot.crossings:
         # crossingless unknot companion: the cable is a plain braid closure
         D, cols = braid_closure(word, with_columns=True)
-        meta = _meta_from_columns(D, cols)
-        return (D, meta) if with_meta else D
+        return D, _meta_from_columns(D, cols)
 
-    splice = _pick_splice_edge(knot, at_edge)
-    D, entry_edges, ribbon = _grid_cable(knot, N, splice, word)
+    D, entry_edges, ribbon = _grid_cable(knot, N, _pick_splice_edge(knot), word)
     _carry_placement(knot, D, N, ribbon)
     comp = D.component_of_edge()
-    meta = CableMeta(tuple(comp[e] for e in entry_edges))
-    return (D, meta) if with_meta else D
+    return D, CableMeta(tuple(comp[e] for e in entry_edges))
 
 
 def satellite_word(base: BraidWord, f: int, pattern: BraidWord) -> BraidWord:
@@ -116,35 +107,29 @@ def satellite_word(base: BraidWord, f: int, pattern: BraidWord) -> BraidWord:
     return BraidWord(base.strands * N, cable_word(base, N).letters + tangle.letters)
 
 
-def cable_of_braid(
-    base: BraidWord, f: int, pattern: BraidWord, with_meta: bool = False
-):
+def cable_of_braid(base: BraidWord, f: int, pattern: BraidWord):
     """Braid-route construction of the same satellite: the closure of its
-    satellite_word."""
+    satellite_word, with its CableMeta."""
     if len(base.closure_cycles()) != 1:
         raise ValueError("companion must close to a knot")
     D, cols = braid_closure(satellite_word(base, f, pattern), with_columns=True)
-    meta = _meta_from_columns(D, cols[: pattern.strands])
-    return (D, meta) if with_meta else D
+    return D, _meta_from_columns(D, cols[: pattern.strands])
 
 
-def cable_family_diagram(
-    base, f: int, m: int, a: int = 0, i: int = 0, with_meta: bool = False
-):
-    """Width-(2m+1) family member over a companion knot: pattern rows
-    spliced into the f-framed cable. base may be a BraidWord or a
-    one-component LinkDiagram."""
+def cable_family_diagram(base, f: int, m: int, a: int = 0, i: int = 0):
+    """Width-(2m+1) family member over a companion knot, with its
+    CableMeta: pattern rows spliced into the f-framed cable. base may be a
+    BraidWord or a one-component LinkDiagram."""
     pattern = row_word(m, a, i)
     if isinstance(base, BraidWord):
-        return cable_of_braid(base, f, pattern, with_meta)
-    return cable_insert(base, f, pattern, with_meta=with_meta)
+        return cable_of_braid(base, f, pattern)
+    return cable_insert(base, f, pattern)
 
 
 # -- framed 1-cables ------------------------------------------------------
 
 
-def _framed_copy(knot: LinkDiagram, twists: int, with_meta: bool):
-    meta = CableMeta((0,))
+def _framed_copy(knot: LinkDiagram, twists: int):
     if twists == 0:
         D = knot.copy()
     elif not knot.edges:
@@ -156,13 +141,13 @@ def _framed_copy(knot: LinkDiagram, twists: int, with_meta: bool):
         s = 1 if twists > 0 else -1
         for _ in range(abs(twists)):
             D = D.add_kink(max(D.edges), s)
-    return (D, meta) if with_meta else D
+    return D, CableMeta((0,))
 
 
 # -- grid surgery ---------------------------------------------------------
 
 
-def _pick_splice_edge(knot: LinkDiagram, at_edge: int | None) -> int:
+def _pick_splice_edge(knot: LinkDiagram) -> int:
     dart_edges = set()
     for own, host in knot.piece_data.values():
         dart_edges.add(own[0])
@@ -171,12 +156,6 @@ def _pick_splice_edge(knot: LinkDiagram, at_edge: int | None) -> int:
     for lp in knot.loops.values():
         if lp.host is not None:
             dart_edges.add(lp.host[0])
-    if at_edge is not None:
-        if at_edge not in knot.edges:
-            raise ValueError("splice edge does not exist")
-        if at_edge in dart_edges:
-            raise ValueError("splice edge carries placement data; pick another")
-        return at_edge
     free = [e for e in sorted(knot.edges) if e not in dart_edges]
     # a knot with crossings is one piece: one edge carries its dart
     assert free, "no edge available for the splice"

@@ -2,8 +2,8 @@
 
 Everything downstream reduces to the primitives here: row reduction mod p,
 sparse complexes with (homological, quantum) bigraded generators, Gaussian
-simplification with tracked homotopy data, homology ranks, and filtration
-levels of cycles.
+simplification that carries tracked rows (chains pushed down to the
+reduced complex), homology ranks, and filtration levels of cycles.
 
 Dense matrices are numpy int64 arrays with entries already reduced mod p.
 Intermediate products stay far below 2**62 for any prime in actual use, so
@@ -12,7 +12,6 @@ the arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
@@ -121,43 +120,7 @@ def add_into(out: dict, terms: Iterable[tuple], p: int, scalar: int = 1) -> dict
     return out
 
 
-def vec_add(a: Vec, b: Vec, p: int, scalar: int = 1) -> Vec:
-    """a + scalar * b."""
-    return add_into(dict(a), b.items(), p, scalar)
-
-
 # -- complexes -----------------------------------------------------------
-
-
-@dataclass
-class EliminationStep:
-    """One Gaussian elimination of an entry src -> dst with unit coefficient.
-
-    src_targets is d(src) without dst, recorded just before the pair is
-    removed.
-    """
-
-    src: int
-    dst: int
-    coeff: int
-    src_targets: Vec
-
-
-@dataclass
-class SimplifyTrace:
-    p: int
-    steps: list[EliminationStep] = field(default_factory=list)
-
-    def project(self, vec: Vec) -> Vec:
-        """Push a chain down to the reduced complex (the homotopy retraction)."""
-        v = dict(vec)
-        for st in self.steps:
-            v.pop(st.src, None)
-            b = v.pop(st.dst, None)
-            if b:
-                f = (b * inv_mod(st.coeff, self.p)) % self.p
-                add_into(v, st.src_targets.items(), self.p, -f)
-        return v
 
 
 class ScalarComplex:
@@ -166,6 +129,7 @@ class ScalarComplex:
     Generators carry (h, q). The differential raises h by exactly one; in a
     q-exact complex it preserves q, in a filtered one it never lowers q.
     Entries are indexed both by column and by row so elimination stays local.
+    A tracked row (see track) is one more column whose id is no generator.
     """
 
     def __init__(self, p: int, q_exact: bool = True):
@@ -188,14 +152,30 @@ class ScalarComplex:
         self.rows[g] = {}
         return g
 
+    def track(self, vec: Vec) -> int:
+        """Carry the chain vec as a tracked row; returns its id.
+
+        The id is never a generator, so simplify never eliminates it and
+        rewrites it like any incoming row: afterwards cols[id] is vec pushed
+        down to the reduced complex (the homotopy retraction).
+        """
+        ref = self._next_id
+        self._next_id += 1
+        self.cols[ref] = dict(vec)
+        for g, c in vec.items():
+            self.rows[g][ref] = c
+        return ref
+
     def add_entry(self, src: int, dst: int, coeff: int) -> None:
-        hs, qs = self.grading[src]
-        hd, qd = self.grading[dst]
-        assert hd == hs + 1, "differential must raise h by exactly 1"
-        if self.q_exact:
-            assert qd == qs, "q-exact differential must preserve q"
-        else:
-            assert qd >= qs, "filtered differential must not lower q"
+        hq = self.grading.get(src)
+        if hq is not None:  # a tracked row has no degree to check
+            hs, qs = hq
+            hd, qd = self.grading[dst]
+            assert hd == hs + 1, "differential must raise h by exactly 1"
+            if self.q_exact:
+                assert qd == qs, "q-exact differential must preserve q"
+            else:
+                assert qd >= qs, "filtered differential must not lower q"
         c = (self.cols[src].get(dst, 0) + coeff) % self.p
         if c:
             self.cols[src][dst] = c
@@ -208,7 +188,8 @@ class ScalarComplex:
         """The span of the generators in keep, with their ids and order.
 
         Entries leaving keep are dropped: a subcomplex when keep is closed
-        under d, a quotient when its complement is.
+        under d, a quotient when its complement is.  Tracked rows are
+        dropped too.
         """
         keep = set(keep)
         cx = ScalarComplex(self.p, self.q_exact)
@@ -296,12 +277,12 @@ class ScalarComplex:
 
     # simplification
 
-    def simplify(self, track: bool = False, side=None) -> SimplifyTrace | None:
+    def simplify(self, side=None) -> None:
         """Eliminate every invertible entry with no q jump, in place.
 
         A q-exact complex ends with zero differential; a filtered one keeps
-        only strictly q-raising entries. With track=True the steps are
-        recorded so cycles can be projected down and lifted back.
+        only strictly q-raising entries.  Tracked rows are rewritten along
+        the way, as rows into an eliminated target are.
 
         With side, a set of generator ids, only entries whose two ends are
         both in side or both outside it are eliminated.  If side spans a
@@ -309,7 +290,6 @@ class ScalarComplex:
         x -> y adds entries z -> w for z -> y and x -> w, so w is in side
         when x is, and z is outside side when y is.
         """
-        trace = SimplifyTrace(self.p) if track else None
         stack = [(s, t) for s, col in self.cols.items() for t in col]
         while stack:
             s, t = stack.pop()
@@ -322,16 +302,11 @@ class ScalarComplex:
                 continue
             if side is not None and (s in side) != (t in side):
                 continue
-            stack.extend(self._eliminate(s, t, u, trace))
-        return trace
+            stack.extend(self._eliminate(s, t, u))
 
-    def _eliminate(
-        self, x: int, y: int, u: int, trace: SimplifyTrace | None
-    ) -> list[tuple[int, int]]:
+    def _eliminate(self, x: int, y: int, u: int) -> list[tuple[int, int]]:
         phi = {w: c for w, c in self.cols[x].items() if w != y}
         srcs = {z: c for z, c in self.rows[y].items() if z != x}
-        if trace is not None:
-            trace.steps.append(EliminationStep(x, y, u, dict(phi)))
         uinv = inv_mod(u, self.p)
         touched: list[tuple[int, int]] = []
         for z, v in srcs.items():

@@ -403,10 +403,10 @@ def band_images(
     else:
         keep = None
         tgt = cube.cx.copy()
-    trace = tgt.simplify(track=True)
-    spaces: dict[int, HomologySpace] = {}
 
-    out = []
+    # every orientation's image y, and target x1 when compatible, rides
+    # through one simplify as a tracked row
+    cases = []
     n = len(D.components())
     for mask in range(1 << n):
         flips = frozenset(k for k in range(n) if mask >> k & 1)
@@ -429,7 +429,7 @@ def band_images(
         else:
             y = x0
             h = cube.cx.grading[next(iter(y))][0]
-        cycles = [trace.project(y)]
+        refs = [tgt.track(y)]
         if compat:
             if pb.ident == 0:
                 x1 = cube.state_class(bits0[:i] + (1,) + bits0[i + 1 :], rev_e, rev_l)
@@ -439,10 +439,16 @@ def band_images(
                 assert cube.cx.grading[g][0] == h, (
                     "band image and target sit in different degrees"
                 )
-            cycles.append(trace.project(x1))
+            refs.append(tgt.track(x1))
+        cases.append((flips, compat, h, refs))
+
+    tgt.simplify()
+    spaces: dict[int, HomologySpace] = {}
+    out = []
+    for flips, compat, h, refs in cases:
         if h not in spaces:
             spaces[h] = HomologySpace(tgt, h)
-        cs = spaces[h].coords(cycles)
+        cs = spaces[h].coords([tgt.cols[ref] for ref in refs])
         cy = cs[:, 0]
         if compat:
             cx1 = cs[:, 1]
@@ -698,8 +704,9 @@ class SkeinTriangle:
 
     The oriented smoothing keeps the orientation of the ambient diagram;
     the other one is the unoriented smoothing.  The cone over the
-    crossing is built once per requested theory; block shifts translate
-    each smoothing's standalone gradings into the ambient ones.
+    crossing is built once in each of Khovanov, Lee and Bar-Natan theory
+    mod p; block shifts translate each smoothing's standalone gradings
+    into the ambient ones.
     """
 
     diagram: LinkDiagram
@@ -740,13 +747,10 @@ class SkeinTriangle:
 def skein_triangle(
     D: LinkDiagram,
     cid: int,
-    theories=None,
     flips: frozenset[int] = frozenset(),
     p: int = 3,
 ) -> SkeinTriangle:
     _crossing_ok(D, cid)
-    if theories is None:
-        theories = (khovanov(p), lee_deformation(p), bar_natan_deformation(p))
     sign = D.crossing_sign(cid, flips)
     ro = 0 if sign > 0 else 1
     resolved: dict[int, LinkDiagram | None] = {}
@@ -758,7 +762,7 @@ def skein_triangle(
     shifts = block_shifts(D, cid, flips, resolved=resolved)
     cones = {
         theory_label(t): cone_over_crossing(D, t, cid, flips=flips)
-        for t in theories
+        for t in (khovanov(p), lee_deformation(p), bar_natan_deformation(p))
     }
     return SkeinTriangle(
         diagram=D,
@@ -773,6 +777,6 @@ def skein_triangle(
 
 
 def exactness_check(t: SkeinTriangle) -> dict[str, TriangleReport]:
-    """Audit the long exact sequence of the triangle in every theory it
-    was built with."""
+    """Audit the long exact sequence of the triangle in each of its
+    three theories."""
     return {name: les_report(cone) for name, cone in t.cones.items()}

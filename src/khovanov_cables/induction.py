@@ -34,7 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .braids import BraidWord, count_inter_crossings, row_word
+from .braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from .cabling import alternating_flips, cable_family_diagram, satellite_word
 from .chain_algebra import HomologySpace, induced_matrix, rank
 from .cobordism import cone_over_crossing
@@ -122,9 +122,7 @@ def duplicate_partner(e: LadderEntry, writhe: int) -> LadderEntry | None:
 
 def family_diagram(base, e: LadderEntry):
     """The entry's diagram and its CableMeta."""
-    return cable_family_diagram(
-        base, e.framing, e.level, e.full_rows, e.tail, with_meta=True
-    )
+    return cable_family_diagram(base, e.framing, e.level, e.full_rows, e.tail)
 
 
 # -- orientation census --------------------------------------------------
@@ -589,7 +587,7 @@ class InclusionReport:
         return not self.problems
 
 
-def inclusion_report(base: BraidWord, level_to: int, budget: int = 60) -> InclusionReport:
+def inclusion_report(base: BraidWord, level_to: int) -> InclusionReport:
     """Rank of the map induced by the resolved-block inclusion in the
     top degree of the next level's full-twist member.
 
@@ -680,13 +678,11 @@ def slice_drop_report(base, name: str, level: int, budget: int = 60) -> SliceDro
     Over the crossing budget the attempt is recorded as skipped, never
     silently dropped.
     """
-    D, meta = cable_family_diagram(base, 1, level, 0, 0, with_meta=True)
+    D, meta = cable_family_diagram(base, 1, level, 0, 0)
     crossings = len(D.crossings)
     if crossings > budget:
         return SliceDropReport(name, level, crossings, "skipped", None, None, None)
-    companion = base if isinstance(base, LinkDiagram) else (
-        cable_family_diagram(base, 1, 0, 0, 0)
-    )
+    companion = base if isinstance(base, LinkDiagram) else braid_closure(base)
     s_comp = s_invariant(companion)
     s_cab = s_invariant(D, alternating_flips(meta))
     expected = s_comp - 2 * level

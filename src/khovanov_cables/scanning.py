@@ -27,10 +27,10 @@ generator: its entries are surfaces from a reference tangle (the partially
 assembled resolution picked out by an orientation) into the generators.
 Attaching lifts the row like any other and caps each reference circle that
 closes with the canonical label of the corresponding circle of the fully
-resolved diagram; delooping and elimination treat it as an incoming row,
-which projects the coordinates exactly as the matrix-level reduction in
-chain_algebra does.  The reference id is no generator, so it is never a
-pivot.
+resolved diagram; delooping and elimination treat it as an incoming row.
+A tracked row of chain_algebra's ScalarComplex carries a chain through
+its simplify the same way, so both engines project a cycle by the same
+rule.  The reference id is no generator, so it is never a pivot.
 
 A split scan marks every generator with its smoothing (its side) at one
 crossing, and delooped children keep their parent's side.  Elimination
@@ -422,22 +422,6 @@ def scan_order(
     order: list = []
     girth = 0
 
-    def width_after(cid: int) -> int:
-        n = len(open_edges)
-        cr = D.crossings[cid]
-        for e in {cr.slots[s][0] for s in range(4)}:
-            if e in open_edges:
-                n -= 1
-            else:
-                ends_unscanned = sum(
-                    1
-                    for c2, _ in D.edges[e].ends
-                    if c2 not in scanned and c2 != cid
-                )
-                if ends_unscanned == 1:
-                    n += 1
-        return n
-
     while remaining:
         adjacent = [
             cid
@@ -445,7 +429,8 @@ def scan_order(
             if any(D.crossings[cid].slots[s][0] in open_edges for s in range(4))
         ]
         pool = adjacent if adjacent else sorted(remaining)
-        best = min(pool, key=lambda cid: (width_after(cid), cid))
+        # each candidate is ranked by the width it leaves, scanned on copies
+        best = min(pool, key=lambda cid: (_scan_past(D, cid, set(scanned), set(open_edges)), cid))
         remaining.discard(best)
         order.append(best)
         girth = max(girth, _scan_past(D, best, scanned, open_edges))
@@ -863,7 +848,6 @@ def scan_complex(
     theory: Theory,
     flips: frozenset = frozenset(),
     orientations: Sequence[frozenset] | None = None,
-    order: Sequence[int] | None = None,
     split_at: int | None = None,
 ) -> ScanResult:
     """Sweep the diagram and return its reduced complex.
@@ -877,15 +861,12 @@ def scan_complex(
     """
     for o in (flips, *(orientations or [])):
         D.reversed_parts(o)  # raises ValueError before any attach
-    if order is None:
-        if split_at is None:
-            order, _ = scan_order(D)
-        else:
-            partial, _ = scan_order(D, exclude=frozenset((split_at,)))
-            order = partial + [split_at]
-    order = list(order)
-    if sorted(order) != sorted(D.crossings):
-        raise ValueError("order must list every crossing exactly once")
+    if split_at is None:
+        order, _ = scan_order(D)
+    elif split_at in D.crossings:
+        order = scan_order(D, exclude=frozenset((split_at,)))[0] + [split_at]
+    else:
+        raise ValueError(f"crossing {split_at} is not in the diagram")
     sc = _Scan(D, theory, orientations or [])
     for cid in order:
         sc.attach(cid, split=cid == split_at)

@@ -40,7 +40,7 @@ def same_diagram(A, B):
 
 
 def test_pure_blackboard_square_cable_is_positive_hopf():
-    D = cable_insert(kinked_unknot(), 1, BraidWord(2, ()))
+    D, _ = cable_insert(kinked_unknot(), 1, BraidWord(2, ()))
     D.validate()
     assert len(D.crossings) == 4
     assert D.writhe() == 4
@@ -49,18 +49,18 @@ def test_pure_blackboard_square_cable_is_positive_hopf():
 
 
 def test_spliced_letter_keeps_sign_and_joins_strands():
-    D, meta = cable_insert(kinked_unknot(), 1, BraidWord(2, (1,)), with_meta=True)
+    D, meta = cable_insert(kinked_unknot(), 1, BraidWord(2, (1,)))
     D.validate()
     assert len(D.crossings) == 5 and D.writhe() == 5
     assert meta.strand_component[0] == meta.strand_component[1]
 
-    D, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)), with_meta=True)
+    D, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)))
     D.validate()
     assert len(D.crossings) == 10 and D.writhe() == 10
     a, b, c = meta.strand_component
     assert a == b != c
 
-    D, _ = cable_insert(kinked_unknot(), 1, BraidWord(2, (-1,)), with_meta=True)
+    D, _ = cable_insert(kinked_unknot(), 1, BraidWord(2, (-1,)))
     D.validate()
     assert D.writhe() == 3
 
@@ -69,9 +69,7 @@ def test_blackboard_cable_writhe_census():
     # one-framed cable of the one-kink round diagram: no corrective twists,
     # so reversing p strands lands exactly on (width - 2p)^2
     for width in (3, 5):
-        D, meta = cable_insert(
-            kinked_unknot(), 1, BraidWord(width, ()), with_meta=True
-        )
+        D, meta = cable_insert(kinked_unknot(), 1, BraidWord(width, ()))
         D.validate()
         assert len(D.crossings) == width * width
         for p in range(width + 1):
@@ -83,14 +81,14 @@ def test_blackboard_cable_writhe_census():
 
 def test_full_twist_route_census():
     U = LinkDiagram().with_free_loop()
-    D, meta = cable_insert(U, 1, BraidWord(3, ()), with_meta=True)
+    D, meta = cable_insert(U, 1, BraidWord(3, ()))
     D.validate()
     assert len(D.crossings) == 6
     for p in range(4):
         fl = orientation_flips(meta, set(range(p)))
         assert D.writhe(fl) == (3 - 2 * p) ** 2 - 3
 
-    D, meta = cable_family_diagram(NEG_TREFOIL, 0, m=1, with_meta=True)
+    D, meta = cable_family_diagram(NEG_TREFOIL, 0, m=1)
     assert len(D.crossings) == 45
     for p in range(4):
         fl = orientation_flips(meta, set(range(p)))
@@ -104,39 +102,38 @@ def test_grid_route_matches_braid_route():
         (TREFOIL, 3, BraidWord(2, (-1,))),
     ]
     for base, f, pattern in cases:
-        G = cable_insert(braid_closure(base), f, pattern)
+        G, _ = cable_insert(braid_closure(base), f, pattern)
         G.validate()
-        B = cable_of_braid(base, f, pattern)
+        B, _ = cable_of_braid(base, f, pattern)
         B.validate()
         assert homology_table(G, khovanov(3)) == homology_table(B, khovanov(3))
 
 
 def test_framing_for_pattern_trade_is_literal():
     for f in (-3, -1, 0):
-        A = cable_of_braid(NEG_TREFOIL, f + 1, row_word(1, 0, 0))
-        B = cable_of_braid(NEG_TREFOIL, f, row_word(1, 2, 2))
+        A, _ = cable_of_braid(NEG_TREFOIL, f + 1, row_word(1, 0, 0))
+        B, _ = cable_of_braid(NEG_TREFOIL, f, row_word(1, 2, 2))
         assert same_diagram(A, B)
         host = braid_closure(NEG_TREFOIL)
-        assert same_diagram(
-            cable_insert(host, f + 1, row_word(1, 0, 0)),
-            cable_insert(host, f, row_word(1, 2, 2)),
-        )
+        A, _ = cable_insert(host, f + 1, row_word(1, 0, 0))
+        B, _ = cable_insert(host, f, row_word(1, 2, 2))
+        assert same_diagram(A, B)
 
 
 def test_width_one_routes():
     U = LinkDiagram().with_free_loop()
-    K = cable_insert(U, 1, BraidWord(1, ()))
+    K, _ = cable_insert(U, 1, BraidWord(1, ()))
     K.validate()
     assert len(K.crossings) == 1 and K.writhe() == 1
 
     host = braid_closure(NEG_TREFOIL)
-    assert same_diagram(cable_insert(host, -3, BraidWord(1, ())), host)
+    assert same_diagram(cable_insert(host, -3, BraidWord(1, ()))[0], host)
 
-    K = cable_insert(host, -5, BraidWord(1, ()))
+    K, _ = cable_insert(host, -5, BraidWord(1, ()))
     K.validate()
     assert len(K.crossings) == 5 and K.writhe() == -5
 
-    assert len(cable_insert(U, 0, BraidWord(1, ())).crossings) == 0
+    assert len(cable_insert(U, 0, BraidWord(1, ()))[0].crossings) == 0
 
 
 def test_row_word_lengths():
@@ -148,13 +145,9 @@ def test_row_word_lengths():
 
 def test_splice_respects_placement_darts():
     K = knot_5_2()
-    D = cable_insert(K, -7, BraidWord(2, ()))
+    D, _ = cable_insert(K, -7, BraidWord(2, ()))
     D.validate()
     assert len(D.crossings) == 28 and D.writhe() == -28
-
-    dart_edge = next(iter(K.piece_data.values()))[0][0]
-    with pytest.raises(ValueError):
-        cable_insert(K, -7, BraidWord(2, ()), at_edge=dart_edge)
 
 
 def test_count_inter_crossings_examples():
@@ -180,18 +173,18 @@ def test_linking_of_one_cable_strand_against_rest():
 
 
 def test_orientation_flip_bookkeeping():
-    _, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)), with_meta=True)
+    _, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)))
     with pytest.raises(ValueError):
         orientation_flips(meta, {0})
     assert len(orientation_flips(meta, {0, 1})) == 1
 
-    _, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, ()), with_meta=True)
+    _, meta = cable_insert(kinked_unknot(), 1, BraidWord(3, ()))
     fl = alternating_flips(meta)
     assert fl == frozenset({meta.strand_component[1]})
 
 
 def test_cable_survives_pd_round_trip():
-    D = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)))
+    D, _ = cable_insert(kinked_unknot(), 1, BraidWord(3, (1,)))
     again = read_pd(write_pd(D))
     again.validate()
     assert homology_table(again, khovanov(3)) == homology_table(D, khovanov(3))

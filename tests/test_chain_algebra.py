@@ -15,13 +15,13 @@ from khovanov_cables.braids import BraidWord, braid_closure
 from khovanov_cables.chain_algebra import (
     HomologySpace,
     ScalarComplex,
+    add_into,
     induced_matrix,
     inv_mod,
     nullspace,
     rank,
     row_reduce,
     solve,
-    vec_add,
 )
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import khovanov, lee_deformation
@@ -171,8 +171,8 @@ def test_matrix_solve_is_columnwise_solve():
 def test_vec_helpers():
     p = 5
     a = {1: 2, 2: 3}
-    assert vec_add(a, a, p, scalar=-1) == {}
-    assert vec_add(a, {2: 2}, p) == {1: 2}
+    assert add_into(dict(a), a.items(), p, -1) == {}
+    assert add_into(dict(a), {2: 2}.items(), p) == {1: 2}
 
 
 # -- complex construction helpers ----------------------------------------
@@ -259,10 +259,64 @@ def test_simplify_trace_roundtrip():
     assert space.dim == expected[h]
     z = space.rep_vectors()[0]
     level = orig.filtration_level(z)
-    trace = cx.simplify(track=True)
-    zs = trace.project(z)
+    ref = cx.track(z)
+    cx.simplify()
+    zs = cx.cols[ref]
     assert not cx.apply_d(zs)
     assert cx.filtration_level(zs) == level
+    # the tracked row is no generator, and copies leave it behind
+    assert ref not in cx.grading and ref not in cx.copy().cols
+    assert cx.homology_dims() == expected
+
+
+def test_tracked_rows_match_the_trace_oracle(monkeypatch):
+    # the oracle replays every elimination (x, y, u, d(x) without y) on a
+    # plain dict, as the homotopy retraction does
+    steps = []
+    eliminate = ScalarComplex._eliminate
+
+    def recorded(cx, x, y, u):
+        steps.append((x, y, u, {w: c for w, c in cx.cols[x].items() if w != y}))
+        return eliminate(cx, x, y, u)
+
+    monkeypatch.setattr(ScalarComplex, "_eliminate", recorded)
+
+    def project(vec, p):
+        v = dict(vec)
+        for x, y, u, phi in steps:
+            v.pop(x, None)
+            b = v.pop(y, None)
+            if b:
+                f = (b * inv_mod(u, p)) % p
+                add_into(v, phi.items(), p, -f)
+        return v
+
+    rng = random.Random(41)
+    p = 3
+    moved = [0, 0]  # tracked rows changed by simplify, without and with side
+    for q_exact in (True, False):
+        for _ in range(4):
+            cx, _ = build_reference_complex(rng, p, q_exact=q_exact, pieces=24)
+            gens = cx.generators()
+            degrees = sorted({h for h, _ in cx.grading.values()})
+            cycles = [v for h in degrees for v in HomologySpace(cx, h).rep_vectors()]
+            cycles += [cx.apply_d({g: 1}) for g in rng.sample(gens, 4)]
+            chains = [
+                {g: rng.randrange(1, p) for g in rng.sample(gens, rng.randrange(1, 6))}
+                for _ in range(6)
+            ]
+            for k, side in enumerate((None, set(rng.sample(gens, len(gens) // 2)))):
+                red = cx.copy()
+                refs = [red.track(v) for v in cycles + chains]
+                steps.clear()
+                red.simplify(side=side)
+                for v, ref in zip(cycles + chains, refs):
+                    got = red.cols[ref]
+                    assert got == project(v, p)
+                    moved[k] += got != v
+                for ref in refs[: len(cycles)]:
+                    assert not red.apply_d(red.cols[ref])
+    assert all(moved), moved
 
 
 def test_grading_asserts():
@@ -335,7 +389,7 @@ def test_filtration_level_matches_brute_force(seed):
         for _ in range(6):
             z: dict[int, int] = {}
             for v in reps + bounds:
-                z = vec_add(z, v, p, rng.randrange(p))
+                add_into(z, v.items(), p, rng.randrange(p))
             if z:
                 assert cx.filtration_level(z) == lowest_q_oracle(cx, z), (h, z)
                 compared += 1

@@ -90,9 +90,9 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
     builds = []
     build = induction.cable_family_diagram
 
-    def counted(base, f, m, a=0, i=0, **kwargs):
+    def counted(base, f, m, a=0, i=0):
         builds.append((f, m, a, i))
-        return build(base, f, m, a, i, **kwargs)
+        return build(base, f, m, a, i)
 
     def check(rec):
         if rec.entry.level == 1 and rec.entry.tail >= 1:

@@ -36,14 +36,6 @@ def test_theory_rejects_bad_parameters(kwargs):
         Theory(**kwargs)
 
 
-def test_scan_rejects_an_order_missing_a_crossing():
-    D = braid_closure(BraidWord(2, (1, 1, 1)))
-    with pytest.raises(ValueError):
-        scan_complex(D, khovanov(3), order=[0, 1])
-    with pytest.raises(ValueError):
-        scan_complex(D, khovanov(3), order=[0, 1, 1, 2])
-
-
 def test_scan_rejects_orientations_naming_a_missing_component():
     # the closure of s1^3 is a knot: component 0 is its only one
     D = braid_closure(BraidWord(2, (1, 1, 1)))
@@ -75,7 +67,7 @@ BAD_INPUT = [
     ("inclusion_report", (BraidWord(1, ()), 0)),
     ("Theory", (4, 2, 3)),
     ("BraidWord", (2, (0, 5))),
-    ("scan_complex", (TRIO, khovanov(3), frozenset(), None, [0, 1])),
+    ("scan_complex", (TRIO, khovanov(3), frozenset(), None, 99)),
     ("scan_complex", (TRIO, khovanov(3), frozenset({7}))),
     ("scan_complex", (TRIO, lee_deformation(3), frozenset(), [frozenset({5})])),
     ("s_invariant", (TRIO, frozenset({9}))),
@@ -89,7 +81,7 @@ BAD_INPUT = [
     ("write_pd", (TRIO.with_free_loop(),)),
     ("cable_insert", (braid_closure(BraidWord(2, (1, 1))), 0, BraidWord(2, (1,)))),
     ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
-    ("cable_insert", (TRIO, 0, BraidWord(2, (1,)), 99)),
+    ("cable_insert", (braid_closure(BraidWord(4, (1, 3))), 0, BraidWord(2, (1,)))),
     ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
     ("cone_over_crossing", (TRIO, khovanov(3), 99)),
     ("cone_from_cube", (TRIO, khovanov(3), 99)),

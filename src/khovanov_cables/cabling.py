@@ -116,14 +116,10 @@ def cable_of_braid(base: BraidWord, f: int, pattern: BraidWord):
     return D, _meta_from_columns(D, cols[: pattern.strands])
 
 
-def cable_family_diagram(base, f: int, m: int, a: int = 0, i: int = 0):
-    """Width-(2m+1) family member over a companion knot, with its
-    CableMeta: pattern rows spliced into the f-framed cable. base may be a
-    BraidWord or a one-component LinkDiagram."""
-    pattern = row_word(m, a, i)
-    if isinstance(base, BraidWord):
-        return cable_of_braid(base, f, pattern)
-    return cable_insert(base, f, pattern)
+def cable_family_diagram(base: BraidWord, f: int, m: int, a: int = 0, i: int = 0):
+    """Width-(2m+1) family member over a companion knot given as a braid
+    word, with its CableMeta: pattern rows spliced into the f-framed cable."""
+    return cable_of_braid(base, f, row_word(m, a, i))
 
 
 # -- framed 1-cables ------------------------------------------------------
@@ -148,16 +144,10 @@ def _framed_copy(knot: LinkDiagram, twists: int):
 
 
 def _pick_splice_edge(knot: LinkDiagram) -> int:
-    dart_edges = set()
-    for own, host in knot.piece_data.values():
-        dart_edges.add(own[0])
-        if host is not None:
-            dart_edges.add(host[0])
-    for lp in knot.loops.values():
-        if lp.host is not None:
-            dart_edges.add(lp.host[0])
-    free = [e for e in sorted(knot.edges) if e not in dart_edges]
-    # a knot with crossings is one piece: one edge carries its dart
+    # a knot with crossings is one piece in the outer face and has no
+    # loops: only its own dart's edge carries placement data
+    ((own, _),) = knot.piece_data.values()
+    free = [e for e in sorted(knot.edges) if e != own[0]]
     assert free, "no edge available for the splice"
     return free[-1]
 

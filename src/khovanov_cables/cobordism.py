@@ -32,7 +32,7 @@ from .chain_algebra import (
     rank,
 )
 from .cube import CubeComplex
-from .diagrams import LinkDiagram, Loop, _make_coherent, incoming, oriented_smoothing
+from .diagrams import LinkDiagram, _make_coherent, incoming, oriented_smoothing
 from .frobenius import (
     Theory,
     bar_natan_deformation,
@@ -215,18 +215,7 @@ def plumb_band(D: LinkDiagram, band: BandSpec) -> PlumbedBand:
         if e not in edge_children:
             edge_children[e] = [(e, False)]
 
-    if dart_remap:
-        E.loops = {
-            l: Loop(x.ccw, dart_remap.get(x.host, x.host))
-            for l, x in E.loops.items()
-        }
-        E.piece_data = {
-            k: (
-                dart_remap.get(own, own),
-                dart_remap.get(host, host) if host is not None else None,
-            )
-            for k, (own, host) in E.piece_data.items()
-        }
+    E._move_darts(dart_remap)
 
     em = {e: (e, False) for e in E.edges}
     _make_coherent(E, em)

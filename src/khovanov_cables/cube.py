@@ -38,12 +38,10 @@ class CubeComplex:
     ):
         self.D = D
         self.theory = theory
-        self.flips = flips
         self.cids = sorted(D.crossings)
         n = len(self.cids)
         n_plus = D.n_plus(flips)
         n_minus = D.n_minus(flips)
-        self.n_plus, self.n_minus = n_plus, n_minus
 
         self.circles: dict[State, list[Circle]] = {}
         for bits in product((0, 1), repeat=n):

@@ -18,7 +18,9 @@ the diagram also records placement data: for every edged piece, a dart
 whose left side is the piece's own unbounded region, and a host dart
 locating the piece inside the rest of the diagram (None = outer face).
 Crossing-free loops carry a handedness bit and a host dart; loops never
-contain any other part of the diagram.
+contain any other part of the diagram. Edits carry existing placement
+darts only through `LinkDiagram._move_darts`; `_dart_map` turns an edit's
+edge map into the darts it moves.
 
 A dart is (edge_id, toward): the direction walking toward ends[toward].
 The face "left of" a dart is the face swept counterclockwise into the
@@ -165,6 +167,15 @@ class LinkDiagram:
         D._next_eid = self._next_eid
         D._next_lid = self._next_lid
         return D
+
+    def _move_darts(self, moved: dict[Dart, Dart]) -> None:
+        """Rewrite every loop host and piece dart that `moved` names."""
+        for x in self.loops.values():
+            x.host = moved.get(x.host, x.host)
+        self.piece_data = {
+            k: (moved.get(own, own), moved.get(host, host))
+            for k, (own, host) in self.piece_data.items()
+        }
 
     # -- basic queries ----------------------------------------------------
 
@@ -315,14 +326,9 @@ class LinkDiagram:
         D = self.copy()
         for eid in list(D.edges):
             _flip_edge(D, eid)
-        D.loops = {
-            l: Loop(not x.ccw, _flip_dart(x.host)) for l, x in D.loops.items()
-        }
-        D.piece_data = {
-            k: (_flip_dart(own), _flip_dart(host))
-            for k, (own, host) in D.piece_data.items()
-        }
-        D._components = None
+        for x in D.loops.values():
+            x.ccw = not x.ccw
+        D._move_darts(_dart_map({e: (e, True) for e in D.edges}))
         return D
 
     def disjoint_union(self, other: "LinkDiagram") -> "LinkDiagram":
@@ -383,13 +389,8 @@ class LinkDiagram:
         e1 = D.new_edge(tail, (cid, 0))
         e2 = D.new_edge((cid, 3), head)
         D.new_edge((cid, 2), (cid, 1))
-        # old edge references elsewhere: remap darts that named eid
-        remap = {eid: e1}
-        D.loops = {
-            l: Loop(x.ccw, _remap_dart(x.host, remap)) for l, x in D.loops.items()
-        }
-        D.piece_data = _rebuild_piece_data(D, self.piece_data, {eid: (e1, False)})
-        D._components = None
+        # the curl joins eid's piece, whose key (min crossing id) stays
+        D._move_darts({(eid, 0): (e1, 0), (eid, 1): (e1, 1)})
         return D
 
     # -- one-crossing resolution ------------------------------------------
@@ -443,46 +444,32 @@ class LinkDiagram:
                 e = edge_map[e][0]
             live_arcs.append(e)
 
+        moved = _dart_map(edge_map)
         curl_edges = {e for _, e in curls}
         if curls:
             # placement darts may not survive on an edge that curls away
+            def curled(d: Dart | None) -> bool:
+                return d is not None and moved.get(d, d)[0] in curl_edges
+
             dissolving = {
                 root for root, cids in self.pieces().items() if cids == {cid}
             }
-            for lp in self.loops.values():
-                if lp.host is None:
-                    continue
-                h2 = _remap_dart_full(lp.host, _total(edge_map, lp.host[0]))
-                if h2[0] in curl_edges:
-                    raise NotImplementedError(
-                        "a loop is hosted on an edge that closes into a loop"
-                    )
+            if any(curled(lp.host) for lp in self.loops.values()):
+                raise NotImplementedError(
+                    "a loop is hosted on an edge that closes into a loop"
+                )
             for root, (own, host) in self.piece_data.items():
-                own2 = _remap_dart_full(own, _total(edge_map, own[0]))
-                if own2[0] in curl_edges and root not in dissolving:
+                if (curled(own) and root not in dissolving) or curled(host):
                     raise NotImplementedError(
                         "placement dart on an edge that closes into a loop"
                     )
-                if host is None:
-                    continue
-                h2 = _remap_dart_full(host, _total(edge_map, host[0]))
-                if h2[0] in curl_edges:
-                    raise NotImplementedError(
-                        "placement dart on an edge that closes into a loop"
-                    )
-
-        D.loops = {
-            l: Loop(x2.ccw, _remap_dart_full(x2.host, edge_map))
-            for l, x2 in D.loops.items()
-        }
+        D._move_darts(moved)
 
         if curls:
             emb = planar.Embedding(self)
             survivors = [e for e in live_arcs if e not in curl_edges]
             host_dart = (
-                _arc_dart(
-                    self, D, cid, live_pairs[0][1], survivors[0], edge_map
-                )
+                _arc_dart(self, D, cid, live_pairs[0][1], survivors[0], moved)
                 if survivors
                 else None
             )
@@ -499,9 +486,9 @@ class LinkDiagram:
                 del D.edges[e]
                 D.new_loop(ccw, host_dart)
 
-        D.piece_data = _rebuild_piece_data(D, self.piece_data, edge_map)
+        _rekey_pieces(D)
         if len(live_pairs) == 2:
-            _fix_split_placement(self, D, cid, pairs, live_arcs, edge_map)
+            _fix_split_placement(self, D, cid, pairs, live_arcs, moved)
         # the disoriented smoothing leaves clashing edge directions; re-aim
         # each circle coherently (edge_map's flags absorb the extra flips)
         _make_coherent(D, edge_map)
@@ -557,24 +544,11 @@ class LinkDiagram:
                 assert x.host[0] in self.edges
 
 
-def _flip_dart(d: Dart | None) -> Dart | None:
-    return None if d is None else (d[0], 1 - d[1])
-
-
-def _remap_dart(d: Dart | None, remap: dict[int, int]) -> Dart | None:
-    if d is None:
-        return None
-    return (remap.get(d[0], d[0]), d[1])
-
-
-def _remap_dart_full(
-    d: Dart | None, edge_map: dict[int, tuple[int, bool]]
-) -> Dart | None:
-    if d is None:
-        return None
-    eid, toward = d
-    new_eid, flipped = edge_map[eid]
-    return (new_eid, 1 - toward if flipped else toward)
+def _dart_map(edge_map: dict[int, tuple[int, bool]]) -> dict[Dart, Dart]:
+    """Darts moved by an edit's edge map (old id -> (new id, reversed))."""
+    return {
+        (e, t): (e2, t ^ rev) for e, (e2, rev) in edge_map.items() for t in (0, 1)
+    }
 
 
 def _merge_edges(
@@ -618,23 +592,14 @@ def _merge_edges(
     return new_eid
 
 
-def _rebuild_piece_data(
-    D: LinkDiagram,
-    old_data: dict[int, tuple[Dart, Dart | None]],
-    edge_map: dict[int, tuple[int, bool]],
-) -> dict[int, tuple[Dart, Dart | None]]:
-    """Carry placement darts over to D's recomputed pieces."""
-    new_pieces = D.pieces()
+def _rekey_pieces(D: LinkDiagram) -> None:
+    """Key D's moved placement darts by its recomputed pieces."""
     pc = D.piece_of_crossing()
     out: dict[int, tuple[Dart, Dart | None]] = {}
-    for own, host in old_data.values():
-        own2 = _remap_dart_full(own, _total(edge_map, own[0]))
-        host2 = _remap_dart_full(host, _total(edge_map, host[0] if host else None))
-        if own2 is None or own2[0] not in D.edges:
-            continue
-        key = pc[D.edges[own2[0]].ends[0][0]]
-        out.setdefault(key, (own2, host2))
-    for key in new_pieces:
+    for own, host in D.piece_data.values():
+        if own[0] in D.edges:
+            out.setdefault(pc[D.edges[own[0]].ends[0][0]], (own, host))
+    for key in D.pieces():
         if key not in out:
             # a piece whose recorded dart vanished; give it a provisional
             # self-dart in the outer face (resolve-split fixes real cases)
@@ -642,17 +607,7 @@ def _rebuild_piece_data(
                 e for e, x in D.edges.items() if pc[x.ends[0][0]] == key
             )
             out[key] = ((e0, 0), None)
-    return out
-
-
-def _total(
-    edge_map: dict[int, tuple[int, bool]], eid: int | None
-) -> dict[int, tuple[int, bool]]:
-    if eid is None:
-        return edge_map
-    if eid in edge_map:
-        return edge_map
-    return {**edge_map, eid: (eid, False)}
+    D.piece_data = out
 
 
 def _fix_split_placement(
@@ -661,19 +616,20 @@ def _fix_split_placement(
     cid: int,
     pairs: list[tuple[int, int]],
     live_arcs: list[int],
-    edge_map: dict[int, tuple[int, bool]],
+    moved: dict[Dart, Dart],
 ) -> None:
     """After smoothing, if the crossing's piece split in two, host the piece
     that lost the recorded outer dart inside the face the smoothing opened."""
     pk_old = old.piece_of_crossing()[cid]
-    own_old, host_old = old.piece_data[pk_old]
+    own_old, _ = old.piece_data[pk_old]
     pc = D.piece_of_crossing()
     e_a, e_b = live_arcs
     key_a = pc[D.edges[e_a].ends[0][0]]
     key_b = pc[D.edges[e_b].ends[0][0]]
     if key_a == key_b:
         return
-    own_mapped = _remap_dart_full(own_old, _total(edge_map, own_old[0]))
+    # _rekey_pieces gave the piece that kept the outer dart its old darts
+    own_mapped = moved.get(own_old, own_old)
     keeper = pc[D.edges[own_mapped[0]].ends[0][0]]
     if keeper == key_a:
         orphan, e_keep, e_orph = key_b, e_a, e_b
@@ -681,18 +637,12 @@ def _fix_split_placement(
     else:
         orphan, e_keep, e_orph = key_a, e_b, e_a
         exit_keep, exit_orph = pairs[1][1], pairs[0][1]
-    host_mapped = (
-        _remap_dart_full(host_old, _total(edge_map, host_old[0]))
-        if host_old
-        else None
-    )
-    D.piece_data[keeper] = (own_mapped, host_mapped)
     # walking a smoothing arc from its pair's first slot toward the second
     # keeps the face the smoothing opened on the left; that face is the
     # orphan's outer region and, seen from the keeper arc, contains the orphan
     D.piece_data[orphan] = (
-        _arc_dart(old, D, cid, exit_orph, e_orph, edge_map),
-        _arc_dart(old, D, cid, exit_keep, e_keep, edge_map),
+        _arc_dart(old, D, cid, exit_orph, e_orph, moved),
+        _arc_dart(old, D, cid, exit_keep, e_keep, moved),
     )
 
 
@@ -725,20 +675,8 @@ def _make_coherent(D: LinkDiagram, edge_map: dict[int, tuple[int, bool]]) -> Non
     for old, (cur, rev) in edge_map.items():
         if cur in flipped:
             edge_map[old] = (cur, not rev)
-    D.loops = {
-        l: Loop(x.ccw, _flip_if(x.host, flipped)) for l, x in D.loops.items()
-    }
-    D.piece_data = {
-        k: (_flip_if(own, flipped), _flip_if(host, flipped))  # type: ignore[arg-type]
-        for k, (own, host) in D.piece_data.items()
-    }
+    D._move_darts(_dart_map({e: (e, True) for e in flipped}))
     D._components = None
-
-
-def _flip_if(d: Dart | None, flipped: set[int]) -> Dart | None:
-    if d is None or d[0] not in flipped:
-        return d
-    return (d[0], 1 - d[1])
 
 
 def _flip_edge(D: LinkDiagram, eid: int) -> None:
@@ -754,13 +692,13 @@ def _arc_dart(
     cid: int,
     exit_slot: int,
     merged_eid: int,
-    edge_map: dict[int, tuple[int, bool]],
+    moved: dict[Dart, Dart],
 ) -> Dart:
     """Dart on a merged smoothing arc heading toward the strand that left the
     old crossing through `exit_slot` (the second slot of its pair)."""
     old_eid, old_idx = old.crossings[cid].slots[exit_slot]
     far = old.edges[old_eid].ends[1 - old_idx]
-    assert edge_map[old_eid][0] == merged_eid
+    assert moved[(old_eid, 0)][0] == merged_eid
     for j in (0, 1):
         if far == D.edges[merged_eid].ends[j]:
             return (merged_eid, j)

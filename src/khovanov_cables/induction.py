@@ -120,7 +120,7 @@ def duplicate_partner(e: LadderEntry, writhe: int) -> LadderEntry | None:
     return None
 
 
-def family_diagram(base, e: LadderEntry):
+def family_diagram(base: BraidWord, e: LadderEntry):
     """The entry's diagram and its CableMeta."""
     return cable_family_diagram(base, e.framing, e.level, e.full_rows, e.tail)
 
@@ -671,7 +671,7 @@ class SliceDropReport:
         return self.status != "failed"
 
 
-def slice_drop_report(base, name: str, level: int, budget: int = 60) -> SliceDropReport:
+def slice_drop_report(base: BraidWord, name: str, level: int, budget: int = 60) -> SliceDropReport:
     """s of the 1-framed cable with alternating strand orientations
     against the companion's s minus the reversal count.
 
@@ -682,8 +682,7 @@ def slice_drop_report(base, name: str, level: int, budget: int = 60) -> SliceDro
     crossings = len(D.crossings)
     if crossings > budget:
         return SliceDropReport(name, level, crossings, "skipped", None, None, None)
-    companion = base if isinstance(base, LinkDiagram) else braid_closure(base)
-    s_comp = s_invariant(companion)
+    s_comp = s_invariant(braid_closure(base))
     s_cab = s_invariant(D, alternating_flips(meta))
     expected = s_comp - 2 * level
     status = "verified" if s_cab == expected else "failed"

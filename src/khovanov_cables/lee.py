@@ -19,9 +19,8 @@ from .scanning import scan_complex
 
 @dataclass(frozen=True)
 class CanonicalClass:
-    """A transported orientation class: homological degree, filtration
-    level of its homology class, and the degree the writhe arithmetic
-    predicts for it."""
+    """A transported orientation class: its orientation's flip set, its
+    homological degree and the filtration level of its homology class."""
 
     flips: frozenset
     h: int

@@ -795,8 +795,6 @@ class _Scan:
             if x not in self.gens:
                 continue  # a tracked cycle's row
             for y, m in row.items():
-                if not m:
-                    continue
                 assert set(m) == {frozenset()}, "open surface at export"
                 c = m[frozenset()]
                 for sigma in signs:

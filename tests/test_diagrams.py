@@ -17,6 +17,7 @@ from khovanov_cables.braids import (
     row_word,
 )
 from khovanov_cables.diagrams import Crossing, oriented_smoothing
+from khovanov_cables.lee import s_invariant
 
 
 def closure(*letters, strands=None):
@@ -206,6 +207,63 @@ def test_add_kink():
     KK = K.add_kink(min(K.edges), -1)
     KK.validate()
     assert KK.writhe() == 3
+
+
+def placed_diagrams():
+    """Diagrams with several pieces or hosted loops: the two-piece closure
+    and random closures, some with a free loop added."""
+    rng = Random(31)
+    out = [closure(1, 1, 4, 4, strands=6)]
+    for _ in range(29):
+        D = braid_closure(random_braid(rng, rng.randint(2, 6), rng.randint(1, 6)))
+        out.append(D.with_free_loop(rng.random() < 0.5) if rng.random() < 0.5 else D)
+    return out
+
+
+def placement(D):
+    return D.crossings, D.edges, D.loops, D.piece_data
+
+
+def loop_nesting(D):
+    rs = planar.ResolvedState(D, D.oriented_smoothings())
+    return {l: rs.nesting[i] for l, i in rs.circle_of_loop.items()}
+
+
+def test_reverse_all_is_an_involution_with_placement():
+    for D in placed_diagrams():
+        R = D.reverse_all()
+        R.validate()
+        # flipped darts keep their geometric side, so loops stay put
+        assert loop_nesting(R) == loop_nesting(D)
+        assert placement(R.reverse_all()) == placement(D)
+
+
+def test_kinks_carry_placement_darts():
+    with_loops = kinks = 0
+    for D in placed_diagrams():
+        with_loops += bool(D.loops)
+        darts = [x.host for x in D.loops.values()]
+        darts += [d for pair in D.piece_data.values() for d in pair]
+        darts = [d for d in darts if d is not None]
+        s, nesting = s_invariant(D), loop_nesting(D)
+        for eid in sorted({e for e, _ in darts}):
+            for sign in (1, -1):
+                K = D.add_kink(eid, sign)
+                K.validate()
+                kinks += 1
+                # the first half keeps the kinked edge's tail
+                (e1,) = [e for e, x in K.edges.items() if x.ends[0] == D.edges[eid].ends[0]]
+                moved = {(eid, t): (e1, t) for t in (0, 1)}
+                assert {l: x.host for l, x in K.loops.items()} == {
+                    l: moved.get(x.host, x.host) for l, x in D.loops.items()
+                }
+                assert K.piece_data == {
+                    k: (moved.get(own, own), moved.get(host, host))
+                    for k, (own, host) in D.piece_data.items()
+                }
+                assert s_invariant(K) == s
+                assert loop_nesting(K) == nesting
+    assert with_loops >= 20 and kinks >= 100
 
 
 # -- resolutions -----------------------------------------------------------

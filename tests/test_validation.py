@@ -53,46 +53,48 @@ TRIO = braid_closure(BraidWord(2, (1, 1, 1)))
 TRIO_LEE = CubeComplex(TRIO, lee_deformation(3))
 THREE_STRANDS = BraidWord(3, (1,))
 
-# (callable name, args): each must raise ValueError, also under python -O;
-# a dotted name is read attribute by attribute from this module
-BAD_INPUT = [
-    ("ladder", (2, 1)),
-    ("ladder", (0, -1)),
-    ("LadderEntry", (0, -1, 0, 0)),
-    ("LadderEntry", (0, 0, 1, 0)),
-    ("LadderEntry", (0, 1, 0, 3)),
-    ("LadderEntry", (0, 1, -1, 0)),
-    ("audit_family", (BraidWord(2, (1,)), "hopf", None, 0)),
-    ("audit_family", (BraidWord(2, (-1, -1, -1)), "trefoil", -2, 0)),
-    ("inclusion_report", (BraidWord(1, ()), 0)),
-    ("Theory", (4, 2, 3)),
-    ("BraidWord", (2, (0, 5))),
-    ("scan_complex", (TRIO, khovanov(3), frozenset(), None, 99)),
-    ("scan_complex", (TRIO, khovanov(3), frozenset({7}))),
-    ("scan_complex", (TRIO, lee_deformation(3), frozenset(), [frozenset({5})])),
-    ("s_invariant", (TRIO, frozenset({9}))),
-    ("TRIO.writhe", (frozenset({7}),)),
-    ("CubeComplex", (TRIO, khovanov(3), frozenset({7}))),
-    ("TRIO_LEE.canonical_cycle", (frozenset({9}),)),
-    ("block_shifts", (TRIO, 0, frozenset({5}))),
-    ("read_pd", ("PD[X[1,2,3], X[3,2,1]]",)),
-    ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
-    ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
-    ("write_pd", (TRIO.with_free_loop(),)),
-    ("cable_insert", (braid_closure(BraidWord(2, (1, 1))), 0, BraidWord(2, (1,)))),
-    ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
-    ("cable_insert", (braid_closure(BraidWord(4, (1, 3))), 0, BraidWord(2, (1,)))),
-    ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
-    ("cone_over_crossing", (TRIO, khovanov(3), 99)),
-    ("cone_from_cube", (TRIO, khovanov(3), 99)),
-    ("skein_triangle", (TRIO, 99)),
-    ("THREE_STRANDS.__mul__", (BraidWord(2, (1,)),)),
-    ("row_word", (1, -1, 0)),
-    ("row_word", (1, 0, 3)),
-    ("row_word", (1, 0, -1)),
-    ("row_word", (-1, 0, 0)),
-    ("TRIO.add_kink", (min(TRIO.edges), 2)),
-]
+# case id -> (callable name, args): each must raise ValueError, also under
+# python -O; a dotted name is read attribute by attribute from this module.
+# Each row keeps the id it was first collected under, so adding or dropping
+# a row renames no other case; give a new row a new id.
+BAD_INPUT = {
+    "ladder-args0": ("ladder", (2, 1)),
+    "ladder-args1": ("ladder", (0, -1)),
+    "LadderEntry-args2": ("LadderEntry", (0, -1, 0, 0)),
+    "LadderEntry-args3": ("LadderEntry", (0, 0, 1, 0)),
+    "LadderEntry-args4": ("LadderEntry", (0, 1, 0, 3)),
+    "LadderEntry-args5": ("LadderEntry", (0, 1, -1, 0)),
+    "audit_family-args6": ("audit_family", (BraidWord(2, (1,)), "hopf", None, 0)),
+    "audit_family-args7": ("audit_family", (BraidWord(2, (-1, -1, -1)), "trefoil", -2, 0)),
+    "inclusion_report-args8": ("inclusion_report", (BraidWord(1, ()), 0)),
+    "Theory-args9": ("Theory", (4, 2, 3)),
+    "BraidWord-args10": ("BraidWord", (2, (0, 5))),
+    "scan_complex-args11": ("scan_complex", (TRIO, khovanov(3), frozenset(), None, 99)),
+    "scan_complex-args12": ("scan_complex", (TRIO, khovanov(3), frozenset({7}))),
+    "scan_complex-args13": ("scan_complex", (TRIO, lee_deformation(3), frozenset(), [frozenset({5})])),
+    "s_invariant-args14": ("s_invariant", (TRIO, frozenset({9}))),
+    "TRIO.writhe-args15": ("TRIO.writhe", (frozenset({7}),)),
+    "CubeComplex-args16": ("CubeComplex", (TRIO, khovanov(3), frozenset({7}))),
+    "TRIO_LEE.canonical_cycle-args17": ("TRIO_LEE.canonical_cycle", (frozenset({9}),)),
+    "block_shifts-args18": ("block_shifts", (TRIO, 0, frozenset({5}))),
+    "read_pd-args19": ("read_pd", ("PD[X[1,2,3], X[3,2,1]]",)),
+    "orientation_flips-args20": ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
+    "count_inter_crossings-args21": ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
+    "write_pd-args22": ("write_pd", (TRIO.with_free_loop(),)),
+    "cable_insert-args23": ("cable_insert", (braid_closure(BraidWord(2, (1, 1))), 0, BraidWord(2, (1,)))),
+    "cable_insert-args24": ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
+    "cable_insert-args25": ("cable_insert", (braid_closure(BraidWord(4, (1, 3))), 0, BraidWord(2, (1,)))),
+    "cable_of_braid-args26": ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
+    "cone_over_crossing-args27": ("cone_over_crossing", (TRIO, khovanov(3), 99)),
+    "cone_from_cube-args28": ("cone_from_cube", (TRIO, khovanov(3), 99)),
+    "skein_triangle-args29": ("skein_triangle", (TRIO, 99)),
+    "THREE_STRANDS.__mul__-args30": ("THREE_STRANDS.__mul__", (BraidWord(2, (1,)),)),
+    "row_word-args31": ("row_word", (1, -1, 0)),
+    "row_word-args32": ("row_word", (1, 0, 3)),
+    "row_word-args33": ("row_word", (1, 0, -1)),
+    "row_word-args34": ("row_word", (-1, 0, 0)),
+    "TRIO.add_kink-args35": ("TRIO.add_kink", (min(TRIO.edges), 2)),
+}
 
 
 def call(name, args):
@@ -100,7 +102,7 @@ def call(name, args):
     return reduce(getattr, attrs, globals()[head])(*args)
 
 
-@pytest.mark.parametrize("name, args", BAD_INPUT)
+@pytest.mark.parametrize("name, args", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
 def test_harness_rejects_bad_input(name, args):
     with pytest.raises(ValueError):
         call(name, args)
@@ -108,7 +110,7 @@ def test_harness_rejects_bad_input(name, args):
 
 @pytest.mark.parametrize(
     "name, args",
-    [row for row in BAD_INPUT if row[0] in ("cone_over_crossing", "cone_from_cube", "skein_triangle")],
+    [row for row in BAD_INPUT.values() if row[0] in ("cone_over_crossing", "cone_from_cube", "skein_triangle")],
 )
 def test_cone_builders_name_a_missing_crossing(name, args):
     with pytest.raises(ValueError, match="crossing 99 "):
@@ -119,7 +121,7 @@ def test_rejections_survive_optimized_mode():
     script = "\n".join(
         [
             "from test_validation import BAD_INPUT, call",
-            "for name, args in BAD_INPUT:",
+            "for name, args in BAD_INPUT.values():",
             "    try:",
             "        call(name, args)",
             "    except ValueError:",

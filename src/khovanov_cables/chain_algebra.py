@@ -3,7 +3,8 @@
 Everything downstream reduces to the primitives here: row reduction mod p,
 sparse complexes with (homological, quantum) bigraded generators, Gaussian
 simplification that carries tracked rows (chains pushed down to the
-reduced complex), homology ranks, and filtration levels of cycles.
+reduced complex), homology ranks counted on a fully reduced copy (no
+row reduction), and filtration levels of cycles.
 
 Dense matrices are numpy int64 arrays with entries already reduced mod p.
 Intermediate products stay far below 2**62 for any prime in actual use, so
@@ -238,42 +239,25 @@ class ScalarComplex:
 
     # homology
 
-    def _block_homology(self, gens: list[int]) -> dict[int, int]:
-        byh: dict[int, list[int]] = {}
-        for g in gens:
-            byh.setdefault(self.grading[g][0], []).append(g)
-        for lst in byh.values():
-            lst.sort()
-        rk: dict[int, int] = {}
-        for h, srcs in byh.items():
-            dsts = byh.get(h + 1)
-            if dsts:
-                rk[h] = rank(self.dense_block(srcs, dsts), self.p)
-        dims: dict[int, int] = {}
-        for h, lst in byh.items():
-            d = len(lst) - rk.get(h, 0) - rk.get(h - 1, 0)
-            if d:
-                dims[h] = d
-        return dims
-
     def homology_dims(self) -> dict:
         """Ranks of homology: {(h, q): dim} when q-exact, else {h: dim}.
 
-        The dense ranks run on a simplified copy, so the blocks they see
-        are the reduced ones; the complex itself is left as it is.
+        Over a field every nonzero entry is invertible, so eliminating them
+        all leaves zero differential, and the generators of that fully
+        reduced copy count the homology.  A filtered complex is reduced with
+        its q forgotten, since its ranks are indexed by h only.  The complex
+        itself is left as it is.
         """
         red = self.copy()
+        if not red.q_exact:
+            red.q_exact = True
+            red.grading = {g: (h, 0) for g, (h, _) in red.grading.items()}
         red.simplify()
-        if red.q_exact:
-            byq: dict[int, list[int]] = {}
-            for g, (_, q) in red.grading.items():
-                byq.setdefault(q, []).append(g)
-            out: dict[tuple[int, int], int] = {}
-            for q in sorted(byq):
-                for h, d in red._block_homology(byq[q]).items():
-                    out[(h, q)] = d
-            return out
-        return red._block_homology(list(red.grading))
+        out: dict = {}
+        for h, q in red.grading.values():
+            key = (h, q) if self.q_exact else h
+            out[key] = out.get(key, 0) + 1
+        return out
 
     # simplification
 

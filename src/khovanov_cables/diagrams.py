@@ -312,7 +312,6 @@ class LinkDiagram:
         D = self.copy()
         for x in D.crossings.values():
             x.over_diag ^= 1
-        D._components = None
         return D
 
     def reverse_all(self) -> "LinkDiagram":
@@ -366,7 +365,6 @@ class LinkDiagram:
         D._next_cid += other._next_cid
         D._next_eid += other._next_eid
         D._next_lid += other._next_lid
-        D._components = None
         return D
 
     def with_free_loop(self, ccw: bool = False) -> "LinkDiagram":
@@ -435,7 +433,6 @@ class LinkDiagram:
             merged_arc_edges.append(new_eid)
             live_pairs.append((s_a, s_b))
         del D.crossings[cid]
-        D._components = None
 
         # a chained merge can retire the first arc's id; chase to the live one
         live_arcs = []

@@ -26,7 +26,9 @@ the pattern is not a full twist.
 An entry's audit reads up to three member diagrams (the entry, its
 neighbour with one tail letter less, the full twist of its framing and
 level); `audit_entry` builds each once for `triangle_facts` and
-`linking_checks`, and keeps nothing across entries but `tables`.
+`linking_checks`, and keeps nothing across entries but `tables`, which
+holds every audited entry's homology table under its own key, a
+duplicate's included.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
 from .scanning import homology_table
+
+
+LEE_SCAN_LIMIT = 12
 
 
 def strand_width(level: int) -> int:
@@ -305,6 +310,25 @@ def split_circle_tensor(dims: dict) -> dict:
     return out
 
 
+def _block_degrees(t_sub: dict, n_under: int, level: int, candidates) -> set[int]:
+    """Triangle degrees at which the resolved block t_sub, whose diagram has
+    n_under components, matches a member of the level below.
+
+    candidates lists each member's (component count, table); a member gets
+    a split circle tensored on per leftover component, two at most.
+    """
+    found = set()
+    for n, table in candidates:
+        if n > n_under or n_under - n > 2:
+            continue
+        for _ in range(n_under - n):
+            table = split_circle_tensor(table)
+        shift = translation_match(t_sub, table)
+        if shift is not None:
+            found.add(top_grading(level) - top_grading(level - 1) - shift[0])
+    return found
+
+
 # -- per-entry audit -----------------------------------------------------
 
 
@@ -348,14 +372,6 @@ class FamilyReport:
         return not self.problems()
 
 
-def _resolve(e: LadderEntry, writhe: int) -> LadderEntry:
-    while True:
-        p = duplicate_partner(e, writhe)
-        if p is None:
-            return e
-        e = p
-
-
 def _table_top(dims: dict, h0: int) -> int:
     return sum(v for (h, _), v in dims.items() if h == h0)
 
@@ -378,7 +394,9 @@ def audit_entry(
     if partner is not None:
         if entry_word(base, partner).letters != word.letters:
             problems.append(f"duplicate of {partner.label()} is not word-equal")
-        ref = tables.get(_resolve(e, writhe))
+        ref = tables.get(partner)
+        if ref is not None:
+            tables[e] = ref
         # with nothing scanned to inherit from, the defaults stand
         rec = ref["record"] if ref else EntryRecord(e, crossings, "duplicate")
         return EntryRecord(
@@ -439,32 +457,17 @@ def audit_entry(
         t_quot = cone.quot_complex().homology_dims()
         dims = cone.cx.homology_dims()
 
-        # the resolved block against the already-scanned next level down,
-        # with a split circle tensored on per leftover component
-        n_under = smoothed_component_count(D, cid, 1)
+        # the resolved block against the already-scanned next level down
         m2 = e.level - 1
-        cand_entries = {
-            _resolve(LadderEntry(e.framing, m2, a2, i2), writhe)
+        candidates = [
+            (len(row_word(m2, a2, i2).closure_cycles()), tables[ce]["table"])
             for a2 in range(2 * m2 + 1)
             for i2 in range(2 * m2 + 1)
-        }
-        tried = 0
-        degrees_found = set()
-        for ce in sorted(cand_entries):
-            got = tables.get(ce)
-            if got is None:
-                continue
-            tried += 1
-            n_ce = len(row_word(ce.level, ce.full_rows, ce.tail).closure_cycles())
-            if n_ce > n_under or n_under - n_ce > 2:
-                continue
-            t_cand = got["table"]
-            for _ in range(n_under - n_ce):
-                t_cand = split_circle_tensor(t_cand)
-            shift = translation_match(t_sub, t_cand)
-            if shift is not None:
-                degrees_found.add(top - top_grading(m2) - shift[0])
-        if tried == 0:
+            if (ce := LadderEntry(e.framing, m2, a2, i2)) in tables
+        ]
+        n_under = smoothed_component_count(D, cid, 1)
+        degrees_found = _block_degrees(t_sub, n_under, e.level, candidates)
+        if not candidates:
             block_certified = None
         elif not degrees_found:
             block_certified = False
@@ -480,7 +483,7 @@ def audit_entry(
                     f"block degree {degree_by_blocks} != {tri.degree}"
                 )
 
-        prev = tables.get(_resolve(LadderEntry(e.framing, e.level, e.full_rows, e.tail - 1), writhe))
+        prev = tables.get(LadderEntry(e.framing, e.level, e.full_rows, e.tail - 1))
         if prev is not None:
             shift = translation_match(t_quot, prev["table"])
             quotient_certified = shift is not None and shift[0] == 0
@@ -538,10 +541,8 @@ def audit_entry(
 def audit_family(
     base: BraidWord,
     name: str,
-    writhe: int | None = None,
     max_level: int = 1,
     budget: int = 60,
-    lee_scan_limit: int = 12,
     tables: dict | None = None,
     progress=None,
 ) -> FamilyReport:
@@ -550,17 +551,16 @@ def audit_family(
     Scans are skipped, never silently dropped, above the crossing
     budget; the word and linking arithmetic still runs for those
     entries.  Entries word-equal to an earlier one inherit its verdict.
+    Entries of at most LEE_SCAN_LIMIT crossings also get a Lee scan.
     """
     if len(base.closure_cycles()) != 1:
         raise ValueError("companion must close to a knot")
     w = base.writhe
-    if writhe is not None and w != writhe:
-        raise ValueError(f"declared writhe {writhe} does not match the word's {w}")
     if tables is None:
         tables = {}
     report = FamilyReport(name=name, writhe=w, max_level=max_level, budget=budget)
     for e in ladder(w, max_level):
-        rec = audit_entry(base, e, w, budget, lee_scan_limit, tables)
+        rec = audit_entry(base, e, w, budget, LEE_SCAN_LIMIT, tables)
         report.records.append(rec)
         if progress is not None:
             progress(rec)
@@ -618,27 +618,28 @@ def inclusion_report(base: BraidWord, level_to: int) -> InclusionReport:
 
     t_sub = sub_cx.homology_dims()
     small, _ = family_diagram(base, LadderEntry(0, m1, 2 * m1, 2 * m1))
+    n_small = len(small.components())
     n_under = smoothed_component_count(D, cid, 1)
-    extra = n_under - len(small.components())
-    assert extra == 1, "the resolved block should free exactly one circle"
-    small = small.with_free_loop()
-    small_census = orientation_census(small)
+    assert n_under - n_small == 1, "the resolved block should free exactly one circle"
     t_small = homology_table(small, th)
-    shift = translation_match(t_sub, t_small)
-    block_certified = shift is not None
+    degrees = _block_degrees(t_sub, n_under, m2, [(n_small, t_small)])
+    block_certified = bool(degrees)
     degree = None
-    if shift is None:
+    if not degrees:
         problems.append("resolved block does not match the smaller member")
     else:
-        degree = top_grading(m2) - top_grading(m1) - shift[0]
+        degree = degrees.pop()
         if degree != 0:
             problems.append(f"inclusion sits in degree {degree}, not 0")
-    small_top = _table_top(t_small, top_grading(m1))
+    # with the freed circle: Kh(U) has rank 2, and flipping the circle
+    # changes no writhe, so both the top degree and the census double
+    small_top = 2 * _table_top(t_small, top_grading(m1))
+    small_census_top = 2 * orientation_census(small).get(top_grading(m1), 0)
     if block_certified and S.dim != small_top:
         problems.append(
             f"block dimension {S.dim} != smaller member's top {small_top}"
         )
-    if small_top != small_census.get(top_grading(m1), 0):
+    if small_top != small_census_top:
         problems.append("smaller member's top degree misses its census")
     return InclusionReport(
         level_to=m2,
@@ -649,7 +650,7 @@ def inclusion_report(base: BraidWord, level_to: int) -> InclusionReport:
         block_certified=block_certified,
         degree=degree if degree is not None else -1,
         small_top_dim=small_top,
-        small_census_top=small_census.get(top_grading(m1), 0),
+        small_census_top=small_census_top,
         problems=tuple(problems),
     )
 

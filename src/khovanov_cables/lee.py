@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .diagrams import LinkDiagram
 from .frobenius import Theory, lee_deformation
-from .scanning import scan_complex
+from .scanning import homology_table, scan_complex
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,9 @@ def expected_h_difference(D: LinkDiagram, a: frozenset, b: frozenset) -> int:
     return diff // 2
 
 
-def lee_homology_dims(
-    D: LinkDiagram, flips: frozenset = frozenset(), p: int = 3
-) -> dict:
-    return (
-        scan_complex(D, lee_deformation(p), flips=flips).complex.homology_dims()
-    )
+def lee_homology_dims(D: LinkDiagram) -> dict:
+    """Ranks of Lee homology mod 3, {h: dim}."""
+    return homology_table(D, lee_deformation(3))
 
 
 def s_invariant(D: LinkDiagram, flips: frozenset = frozenset(), p: int = 3) -> int:

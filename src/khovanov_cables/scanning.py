@@ -871,6 +871,6 @@ def scan_complex(
     return sc.finish(flips)
 
 
-def homology_table(D: LinkDiagram, theory: Theory, flips: frozenset = frozenset()):
+def homology_table(D: LinkDiagram, theory: Theory) -> dict:
     """Homology ranks via the sweep; same shape as the cube-based table."""
-    return scan_complex(D, theory, flips).complex.homology_dims()
+    return scan_complex(D, theory).complex.homology_dims()

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from khovanov_cables import chain_algebra
 from khovanov_cables import frobenius as fr
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid
 from khovanov_cables.chain_algebra import add_into, rank
@@ -224,7 +225,7 @@ def unreduced_table(cx):
 
 def test_simplify_preserves_tables():
     rng = Random(31)
-    for theory in (fr.khovanov(3), fr.lee_deformation(3)):
+    for theory in (fr.khovanov(3), fr.lee_deformation(3), fr.bar_natan_deformation(3)):
         for _ in range(4):
             w = random_braid(rng, rng.randint(2, 4), rng.randint(2, 5))
             cx = CubeComplex(braid_closure(w), theory).cx
@@ -233,6 +234,28 @@ def test_simplify_preserves_tables():
             red.simplify()
             assert unreduced_table(red) == want
             assert cx.homology_dims() == want
+
+
+@pytest.mark.parametrize(
+    "theory", [fr.khovanov(3), fr.lee_deformation(3), fr.bar_natan_deformation(3)]
+)
+def test_homology_dims_counts_without_row_reduction(theory, monkeypatch):
+    # a fully reduced complex has zero differential: its generators are
+    # the ranks, so no dense rank is taken
+    calls = []
+    row_reduce = chain_algebra.row_reduce
+
+    def counted(A, p):
+        calls.append(A.shape)
+        return row_reduce(A, p)
+
+    monkeypatch.setattr(chain_algebra, "row_reduce", counted)
+    for D in (cl(1, -2, 1, -2), cl(1, 1, 2, -1, 2), cl(1, 1).with_free_loop()):
+        cx = CubeComplex(D, theory).cx
+        want = unreduced_table(cx)
+        calls.clear()
+        assert cx.homology_dims() == want
+        assert not calls, calls
 
 
 def test_simplify_preserves_levels():

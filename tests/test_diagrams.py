@@ -220,6 +220,25 @@ def placed_diagrams():
     return out
 
 
+def test_edits_start_from_an_empty_component_cache():
+    # mirror, disjoint union and resolution each edit a fresh copy, which
+    # never carries the source's cache
+    resolved = 0
+    for D in placed_diagrams():
+        D.components()
+        edited = [D.mirror(), D.disjoint_union(closure(1, 1).with_free_loop())]
+        for c in sorted(D.crossings):
+            for r in (0, 1):
+                try:
+                    edited.append(D.resolve_crossing(c, r)[0])
+                except NotImplementedError:
+                    continue
+                resolved += 1
+        for E in edited:
+            assert E.components() == E.copy().components()
+    assert resolved > 100
+
+
 def placement(D):
     return D.crossings, D.edges, D.loops, D.piece_data
 

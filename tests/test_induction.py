@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from khovanov_cables import induction
+from khovanov_cables import cobordism, induction, scanning
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid, row_word
 from khovanov_cables.induction import (
     audit_family,
@@ -76,6 +76,45 @@ def test_unknot_inclusion_is_injective(level):
     report = inclusion_report(UNKNOT, level)
     assert report.ok(), report.problems
     assert report.injective and report.rank == report.sub_dim > 0
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_inclusion_scans_only_ladder_members(monkeypatch, level):
+    # the freed circle costs a factor Kh(U) on the smaller member's table,
+    # so no copy of a member with a free loop is scanned
+    built, scanned = [], []
+    build, scan = induction.cable_family_diagram, scanning.scan_complex
+
+    def build_recorded(*args):
+        D, meta = build(*args)
+        built.append(D)
+        return D, meta
+
+    def scan_recorded(D, *args, **kwargs):
+        scanned.append(D)
+        return scan(D, *args, **kwargs)
+
+    monkeypatch.setattr(induction, "cable_family_diagram", build_recorded)
+    monkeypatch.setattr(scanning, "scan_complex", scan_recorded)
+    monkeypatch.setattr(cobordism, "scan_complex", scan_recorded)
+    assert inclusion_report(UNKNOT, level).ok()
+    assert len(scanned) == 2
+    assert all(any(D is B for B in built) for D in scanned)
+
+
+def test_duplicates_hold_their_partners_tables():
+    # the writhe -2 unknot chains duplicates across framings
+    tables: dict = {}
+    report = audit_family(BraidWord(3, (-1, -2)), "writhe -2 unknot", max_level=1, tables=tables)
+    assert report.ok(), report.problems()
+    dups = [r for r in report.records if r.status == "duplicate"]
+    chained = [r for r in dups if r.duplicate_of in tables and duplicate_partner(r.duplicate_of, -2)]
+    assert dups and chained
+    for r in dups:
+        if r.duplicate_of in tables:
+            assert tables[r.entry] is tables[r.duplicate_of], r.entry.label()
+            top = induction.top_grading(r.entry.level)
+            assert r.top_dim == induction._table_top(tables[r.entry]["table"], top)
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -64,8 +64,7 @@ BAD_INPUT = {
     "LadderEntry-args3": ("LadderEntry", (0, 0, 1, 0)),
     "LadderEntry-args4": ("LadderEntry", (0, 1, 0, 3)),
     "LadderEntry-args5": ("LadderEntry", (0, 1, -1, 0)),
-    "audit_family-args6": ("audit_family", (BraidWord(2, (1,)), "hopf", None, 0)),
-    "audit_family-args7": ("audit_family", (BraidWord(2, (-1, -1, -1)), "trefoil", -2, 0)),
+    "audit_family-args6": ("audit_family", (BraidWord(2, (1,)), "hopf", 0)),
     "inclusion_report-args8": ("inclusion_report", (BraidWord(1, ()), 0)),
     "Theory-args9": ("Theory", (4, 2, 3)),
     "BraidWord-args10": ("BraidWord", (2, (0, 5))),

@@ -6,16 +6,16 @@ simplification that carries tracked rows (chains pushed down to the
 reduced complex), homology ranks counted on a fully reduced copy (no
 row reduction), and filtration levels of cycles.
 
-Dense matrices are numpy int64 arrays with entries already reduced mod p.
-Intermediate products stay far below 2**62 for any prime in actual use, so
-the arithmetic is exact.
+Dense matrices are Matrix objects: lists of rows of Python ints reduced
+mod p, so the arithmetic is exact at any size.  Gaussian simplification
+runs first wherever homology is asked for, so the dense matrices left are
+small (about three cells per row reduction on the cone audits), and plain
+lists need no array library.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable
-
-import numpy as np
 
 # sparse vector: generator id -> nonzero coefficient mod p
 Vec = dict[int, int]
@@ -28,77 +28,119 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-def _zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
+# -- dense matrices ------------------------------------------------------
 
 
-def row_reduce(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+class Matrix(list):
+    """Dense matrix: a list of int rows that keeps its column count.
+
+    M[i][j] is the entry in row i, column j.  The column count is stored,
+    so 0 x n and n x 0 matrices keep their width; a row of another length
+    raises ValueError.  The dense helpers below take and return Matrix.
+    """
+
+    def __init__(self, rows: Iterable[list[int]], ncols: int):
+        super().__init__(rows)
+        if any(len(row) != ncols for row in self):
+            raise ValueError(f"every row of the matrix must have {ncols} entries")
+        self.ncols = ncols
+
+    @classmethod
+    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls([[0] * ncols for _ in range(nrows)], ncols)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.ncols
+
+    @property
+    def T(self) -> "Matrix":
+        return Matrix([[row[j] for row in self] for j in range(self.ncols)], len(self))
+
+    def beside(self, other: "Matrix") -> "Matrix":
+        """The block matrix [self | other]; the row counts must agree."""
+        if len(self) != len(other):
+            raise ValueError(f"row counts differ: {len(self)} and {len(other)}")
+        return Matrix([a + b for a, b in zip(self, other)], self.ncols + other.ncols)
+
+
+def row_reduce(A: Matrix, p: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of A mod p, with the list of pivot columns.
 
-    Row r is zero left of its pivot column c, so a pivot touches only
-    columns c: of the rows with a nonzero in column c.
+    A pivot touches only the rows with a nonzero in its column c, and in
+    them only the columns where the pivot row is nonzero: those lie at or
+    right of c, since the pivot row is zero left of its pivot.
     """
-    R = np.mod(A.astype(np.int64, copy=True), p)
-    nrows, ncols = R.shape
+    R = Matrix([[x % p for x in row] for row in A], A.ncols)
+    nrows = len(R)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(R.ncols):
         if r == nrows:
             break
-        hot = np.nonzero(R[r:, c])[0]
-        if hot.size == 0:
+        i = next((i for i in range(r, nrows) if R[i][c]), None)
+        if i is None:
             continue
-        i = r + int(hot[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        piv = R[r, c:] = (R[r, c:] * inv_mod(int(R[r, c]), p)) % p
-        rows = np.flatnonzero(R[:, c])
-        rows = rows[rows != r]
-        if rows.size:
-            R[rows, c:] = (R[rows, c:] - np.outer(R[rows, c], piv)) % p
+        R[r], R[i] = R[i], R[r]
+        u = inv_mod(R[r][c], p)
+        piv = R[r]
+        hot = [(j, piv[j] * u % p) for j in range(c, R.ncols) if piv[j]]
+        for j, y in hot:
+            piv[j] = y
+        for k, row in enumerate(R):
+            f = row[c]
+            if f and k != r:
+                for j, y in hot:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
     return R, pivots
 
 
-def rank(A: np.ndarray, p: int) -> int:
-    if A.size == 0:
+def rank(A: Matrix, p: int) -> int:
+    if not (A and A.ncols):
         return 0
     return len(row_reduce(A, p)[1])
 
 
-def nullspace(A: np.ndarray, p: int) -> np.ndarray:
+def nullspace(A: Matrix, p: int) -> Matrix:
     """Matrix whose columns form a basis of ker(A) mod p."""
-    nrows, ncols = A.shape
-    if ncols == 0:
-        return _zeros(0, 0)
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64)
-    R, pivots = row_reduce(A, p)
+    ncols = A.ncols
+    # a matrix with no cells has no pivots: every column is free
+    R, pivots = row_reduce(A, p) if A and ncols else (A, [])
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
-    K = _zeros(ncols, len(free))
-    K[free, np.arange(len(free))] = 1
-    K[pivots] = (-R[: len(pivots), free]) % p
+    K = Matrix.zeros(ncols, len(free))
+    for j, c in enumerate(free):
+        K[c][j] = 1
+    for i, c in enumerate(pivots):
+        K[c] = [-R[i][f] % p for f in free]
     return K
 
 
-def solve(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of A x = b mod p, or None if b is outside the span.
+def solve(A: Matrix, B: Matrix, p: int) -> Matrix | None:
+    """One solution X of A X = B mod p, or None if a column of B is outside
+    the span of A's columns.
 
-    b is a vector or a matrix; a matrix is solved column by column with one
-    reduction of [A | b], giving one column of x per column of b, and the
-    result is None if any column is outside the span.
+    Every column is solved with one reduction of [A | B], giving one column
+    of X per column of B.  A and B must have the same number of rows.
     """
-    ncols = A.shape[1]
-    B = np.asarray(b, dtype=np.int64)
-    aug = np.concatenate([A, B if B.ndim == 2 else B[:, None]], axis=1)
-    R, pivots = row_reduce(aug, p)
+    ncols = A.ncols
+    R, pivots = row_reduce(A.beside(B), p)
     if pivots and pivots[-1] >= ncols:
         return None
-    x = _zeros(ncols, R.shape[1] - ncols)
-    x[pivots] = R[: len(pivots), ncols:]
-    return x if B.ndim == 2 else x[:, 0]
+    X = Matrix.zeros(ncols, B.ncols)
+    for i, c in enumerate(pivots):
+        X[c] = R[i][ncols:]
+    return X
+
+
+def product_is_zero(A: Matrix, B: Matrix, p: int) -> bool:
+    """Whether A B == 0 mod p; A's column count must be B's row count."""
+    if A.ncols != len(B):
+        raise ValueError(f"cannot multiply: {A.ncols} columns against {len(B)} rows")
+    cols = B.T
+    return not any(sum(a * b for a, b in zip(row, col)) % p for row in A for col in cols)
 
 
 # -- sparse vector helpers -----------------------------------------------
@@ -226,15 +268,15 @@ class ScalarComplex:
             dd = self.apply_d(self.apply_d({g: 1}))
             assert not dd, f"d^2 != 0 at generator {g}"
 
-    def dense_block(self, srcs: list[int], dsts: list[int]) -> np.ndarray:
-        """Matrix of d restricted to the given bases; M[i, j] = <d srcs[j], dsts[i]>."""
-        M = _zeros(len(dsts), len(srcs))
+    def dense_block(self, srcs: list[int], dsts: list[int]) -> Matrix:
+        """Matrix of d restricted to the given bases; M[i][j] = <d srcs[j], dsts[i]>."""
+        M = Matrix.zeros(len(dsts), len(srcs))
         index = {g: i for i, g in enumerate(dsts)}
         for j, s in enumerate(srcs):
             for t, c in self.cols[s].items():
                 i = index.get(t)
                 if i is not None:
-                    M[i, j] = c
+                    M[i][j] = c
         return M
 
     # homology
@@ -328,12 +370,13 @@ class ScalarComplex:
         assert not self.apply_d(vec), "filtration level needs a cycle"
         tgts = sorted(self.gens_at(h), key=lambda g: self.grading[g][1])
         R, pivots = row_reduce(self.dense_block(self.gens_at(h - 1), tgts).T, self.p)
-        b = np.array([vec.get(g, 0) for g in tgts], dtype=np.int64)
+        b = [vec.get(g, 0) for g in tgts]
         for i, c in enumerate(pivots):
-            if b[c]:
-                b = (b - b[c] * R[i]) % self.p
-        left = np.flatnonzero(b)
-        return self.grading[tgts[left[0]]][1] if left.size else None
+            f = b[c]
+            if f:
+                b = [(x - f * y) % self.p for x, y in zip(b, R[i])]
+        left = next((g for g, x in zip(tgts, b) if x), None)
+        return None if left is None else self.grading[left][1]
 
 
 class HomologySpace:
@@ -352,36 +395,34 @@ class HomologySpace:
         self.tgts = cx.gens_at(h)
         d_in = cx.dense_block(cx.gens_at(h - 1), self.tgts)
         K = nullspace(cx.dense_block(self.tgts, cx.gens_at(h + 1)), cx.p)
-        n_in = d_in.shape[1]
-        frame = np.concatenate([d_in, K], axis=1)
+        frame = d_in.beside(K)
         pivots = row_reduce(frame, cx.p)[1]
-        self._frame = frame[:, pivots]
-        self.boundary_rank = sum(c < n_in for c in pivots)
-        self.rep_matrix = self._frame[:, self.boundary_rank :]
-        self.dim = self.rep_matrix.shape[1]
+        self._frame = Matrix([[row[c] for c in pivots] for row in frame], len(pivots))
+        self.boundary_rank = sum(c < d_in.ncols for c in pivots)
+        self.dim = len(pivots) - self.boundary_rank
 
     def rep_vectors(self) -> list[Vec]:
-        out: list[Vec] = []
-        for j in range(self.dim):
-            col = self.rep_matrix[:, j]
-            out.append({g: int(c) for g, c in zip(self.tgts, col) if c})
-        return out
+        return [
+            {g: row[j] for g, row in zip(self.tgts, self._frame) if row[j]}
+            for j in range(self.boundary_rank, self._frame.ncols)
+        ]
 
-    def coords(self, vecs: list[Vec]) -> np.ndarray:
+    def coords(self, vecs: list[Vec]) -> Matrix:
         """Classes of cycles in the representative basis, one column each.
 
         All the cycles are solved against the frame in one reduction.
         """
         if not vecs:
-            return _zeros(self.dim, 0)
-        B = np.array([[v.get(g, 0) for v in vecs] for g in self.tgts], dtype=np.int64)
-        x = solve(self._frame, B.reshape(-1, len(vecs)), self.cx.p)
+            return Matrix.zeros(self.dim, 0)
+        B = Matrix([[v.get(g, 0) for v in vecs] for g in self.tgts], len(vecs))
+        x = solve(self._frame, B, self.cx.p)
         assert x is not None, "vector is not a cycle in this degree"
-        return x[self.boundary_rank :]
+        del x[: self.boundary_rank]
+        return x
 
 
 def induced_matrix(
     f: Callable[[Vec], Vec], src: HomologySpace, dst: HomologySpace
-) -> np.ndarray:
+) -> Matrix:
     """Matrix of the map a chain map induces on homology, rep basis to rep basis."""
     return dst.coords([f(rep) for rep in src.rep_vectors()])

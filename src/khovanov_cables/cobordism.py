@@ -21,14 +21,13 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chain_algebra import (
     HomologySpace,
     ScalarComplex,
     Vec,
     induced_matrix,
     inv_mod,
+    product_is_zero,
     rank,
 )
 from .cube import CubeComplex
@@ -340,17 +339,14 @@ def surgered_diagram(pb: PlumbedBand) -> LinkDiagram:
 # -- the induced map on deformed homology --------------------------------
 
 
-def _proportionality(
-    cy: np.ndarray, cx1: np.ndarray, p: int
-) -> int | None:
+def _proportionality(cy: list[int], cx1: list[int], p: int) -> int | None:
     """lambda with cy == lambda * cx1 mod p, or None when there is none
     (a zero target counts as none)."""
-    nz = np.flatnonzero(cx1 % p)
-    if len(nz) == 0:
+    j = next((j for j, c in enumerate(cx1) if c % p), None)
+    if j is None:
         return None
-    j = nz[0]
-    lam = (int(cy[j]) * inv_mod(int(cx1[j]), p)) % p
-    if np.any((cy - lam * cx1) % p):
+    lam = (cy[j] * inv_mod(cx1[j], p)) % p
+    if any((y - lam * x) % p for y, x in zip(cy, cx1)):
         return None
     return lam
 
@@ -362,13 +358,13 @@ class BandImage:
     flips: frozenset[int]
     compatible: bool
     h: int
-    image_coords: np.ndarray
-    target_coords: np.ndarray | None
+    image_coords: list[int]
+    target_coords: list[int] | None
     scale: int | None
 
     @property
     def image_zero(self) -> bool:
-        return not np.any(self.image_coords)
+        return not any(self.image_coords)
 
 
 def band_images(
@@ -437,10 +433,10 @@ def band_images(
     for flips, compat, h, refs in cases:
         if h not in spaces:
             spaces[h] = HomologySpace(tgt, h)
-        cs = spaces[h].coords([tgt.cols[ref] for ref in refs])
-        cy = cs[:, 0]
+        cs = spaces[h].coords([tgt.cols[ref] for ref in refs]).T
+        cy = cs[0]
         if compat:
-            cx1 = cs[:, 1]
+            cx1 = cs[1]
             out.append(
                 BandImage(flips, True, h, cy, cx1, _proportionality(cy, cx1, p))
             )
@@ -628,13 +624,13 @@ def les_report(cone: ConeSlices) -> TriangleReport:
             )
             _check(rep, q, h, "total-dim", A[h].dim, ri[h] + rp[h])
             _check(rep, q, h, "quot-dim", Q[h].dim, rp[h] + rd.get(h, 0))
-            if np.any((Mp[h] @ Mi[h]) % p):
+            if not product_is_zero(Mp[h], Mi[h], p):
                 rep.failures.append((q, h, "project-include", None, None))
             rep.checks += 1
             if h in Md:
-                if np.any((Md[h] @ Mp[h]) % p):
+                if not product_is_zero(Md[h], Mp[h], p):
                     rep.failures.append((q, h, "connect-project", None, None))
-                if np.any((Mi[h + 1] @ Md[h]) % p):
+                if not product_is_zero(Mi[h + 1], Md[h], p):
                     rep.failures.append((q, h, "include-connect", None, None))
                 rep.checks += 2
             rows.append(

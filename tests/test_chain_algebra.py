@@ -14,11 +14,13 @@ from khovanov_cables import chain_algebra
 from khovanov_cables.braids import BraidWord, braid_closure
 from khovanov_cables.chain_algebra import (
     HomologySpace,
+    Matrix,
     ScalarComplex,
     add_into,
     induced_matrix,
     inv_mod,
     nullspace,
+    product_is_zero,
     rank,
     row_reduce,
     solve,
@@ -27,6 +29,19 @@ from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import khovanov, lee_deformation
 
 PRIMES = (2, 3, 5)
+
+
+# The package's dense matrices are Matrix objects; the tests build and
+# check them as numpy arrays, converting at each call.
+
+
+def mat(A) -> Matrix:
+    A = np.asarray(A, dtype=np.int64)
+    return Matrix(A.tolist(), A.shape[1])
+
+
+def arr(M: Matrix) -> np.ndarray:
+    return np.array(M, dtype=np.int64).reshape(M.shape)
 
 
 def test_inv_mod():
@@ -47,21 +62,23 @@ def test_row_reduce_and_rank():
         A = np.array(
             [[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64
         ).reshape(m, n)
-        R, pivots = row_reduce(A, p)
+        R, pivots = row_reduce(mat(A), p)
+        R = arr(R)
         assert pivots == sorted(pivots)
         r = len(pivots)
-        assert rank(A, p) == rank(A.T, p) == r
+        assert rank(mat(A), p) == rank(mat(A.T), p) == rank(mat(A).T, p) == r
         # rows past the rank vanish, pivot columns are unit vectors
         assert not R[r:].any()
         for i, c in enumerate(pivots):
             col = np.zeros(m, dtype=np.int64)
             col[i] = 1
             assert (R[:, c] == col).all()
-        K = nullspace(A, p)
+        K = nullspace(mat(A), p)
         assert K.shape == (n, n - r)
+        K = arr(K)
         if K.size:
             assert not ((A @ K) % p).any()
-            assert rank(K, p) == n - r
+            assert rank(mat(K), p) == n - r
 
 
 def full_row_reduce(A, p):
@@ -91,10 +108,11 @@ def full_row_reduce(A, p):
 
 
 def assert_same_reduction(A, p):
-    R, pivots = row_reduce(A, p)
-    R0, pivots0 = full_row_reduce(A, p)
+    R, pivots = row_reduce(mat(A), p)
+    R0, pivots0 = full_row_reduce(np.asarray(A, dtype=np.int64), p)
     assert pivots == pivots0
-    assert R.dtype == R0.dtype and R.shape == R0.shape and (R == R0).all()
+    assert R.shape == R0.shape and (arr(R) == R0).all()
+    assert all(type(x) is int for row in R for x in row)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -114,16 +132,16 @@ def test_row_reduce_matches_full_reduction_on_a_cube(theory):
     cx = CubeComplex(braid_closure(BraidWord(3, (1, -2, 1, -2))), theory).cx
     hs = sorted({h for h, _ in cx.grading.values()})
     for h in hs:
-        A = cx.dense_block(cx.gens_at(h), cx.gens_at(h + 1))
+        A = arr(cx.dense_block(cx.gens_at(h), cx.gens_at(h + 1)))
         assert_same_reduction(A, cx.p)
         assert_same_reduction(A.T, cx.p)
 
 
 def test_solve_negative_case():
-    A = np.array([[1], [0]], dtype=np.int64)
-    assert solve(A, np.array([0, 1]), 3) is None
-    assert solve(A, np.array([2, 1]), 3) is None
-    assert solve(A, np.array([2, 0]), 3) is not None
+    A = Matrix([[1], [0]], 1)
+    assert solve(A, Matrix([[0], [1]], 1), 3) is None
+    assert solve(A, Matrix([[2], [1]], 1), 3) is None
+    assert solve(A, Matrix([[2], [0]], 1), 3) is not None
 
 
 @settings(max_examples=60, deadline=None)
@@ -137,13 +155,12 @@ def test_solve_roundtrip(m, n, p, rng):
     A = np.array(
         [[rng.randrange(p) for _ in range(n)] for _ in range(m)], dtype=np.int64
     ).reshape(m, n)
-    for k in (None, 2):
-        shape = (n,) if k is None else (n, k)
-        x = np.array([rng.randrange(p) for _ in range(n * (k or 1))], dtype=np.int64)
-        b = (A @ x.reshape(shape)) % p
-        x2 = solve(A, b, p)
-        assert x2 is not None and x2.shape == shape
-        assert ((A @ x2) % p == b).all()
+    for k in (1, 2):
+        x = np.array([rng.randrange(p) for _ in range(n * k)], dtype=np.int64)
+        b = (A @ x.reshape(n, k)) % p
+        x2 = solve(mat(A), mat(b), p)
+        assert x2 is not None and x2.shape == (n, k)
+        assert ((A @ arr(x2)) % p == b).all()
 
 
 def test_matrix_solve_is_columnwise_solve():
@@ -153,19 +170,53 @@ def test_matrix_solve_is_columnwise_solve():
         for m, n, k in [(4, 6, 3), (6, 3, 4), (5, 5, 1), (3, 0, 2), (0, 3, 2)]:
             A = rng.integers(0, p, size=(m, n)) * (rng.random((m, n)) < 0.6)
             B = (A @ rng.integers(0, p, size=(n, k))) % p
-            X = solve(A, B, p)
+            X = solve(mat(A), mat(B), p)
             assert X is not None and X.shape == (n, k)
             for j in range(k):
-                assert (X[:, j] == solve(A, B[:, j], p)).all()
+                assert (arr(X)[:, j] == arr(solve(mat(A), mat(B[:, [j]]), p))[:, 0]).all()
             # one column outside the span spoils the whole matrix
-            outside = [e for e in np.eye(m, dtype=np.int64) if solve(A, e, p) is None]
+            outside = [e for e in np.eye(m, dtype=np.int64) if solve(mat(A), mat(e[:, None]), p) is None]
             for e in outside[:1]:
                 for j in range(k):
                     bad = B.copy()
                     bad[:, j] = e
-                    assert solve(A, bad, p) is None
+                    assert solve(mat(A), mat(bad), p) is None
                     spoiled += 1
     assert spoiled
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 3), (3, 0)])
+def test_dense_helpers_on_matrices_without_cells(m, n):
+    p = 3
+    A = Matrix.zeros(m, n)
+    assert A.shape == (m, n) and A.T.shape == (n, m)
+    assert rank(A, p) == rank(A.T, p) == 0
+    # every column is free
+    K = nullspace(A, p)
+    assert K.shape == (n, n) and (arr(K) == np.eye(n, dtype=np.int64)).all()
+    for k in (0, 2):
+        X = solve(A, Matrix.zeros(m, k), p)
+        assert X is not None and X.shape == (n, k) and not arr(X).any()
+    if m:
+        # no column to span a nonzero right-hand side
+        assert solve(A, Matrix([[1] for _ in range(m)], 1), p) is None
+
+
+def test_product_is_zero_matches_numpy():
+    rng = np.random.default_rng(9)
+    seen = set()
+    for p in PRIMES:
+        for m, k, n in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (3, 4, 2), (4, 2, 5)]:
+            for fill in (0.0, 0.3, 1.0):
+                A = rng.integers(0, p, size=(m, k)) * (rng.random((m, k)) < fill)
+                B = rng.integers(0, p, size=(k, n)) * (rng.random((k, n)) < fill)
+                want = not ((A @ B) % p).any()
+                assert product_is_zero(mat(A), mat(B), p) == want, (p, A, B)
+                seen.add(want)
+    assert seen == {True, False}
+    # zero mod 3 though not over the integers, and a product that is not zero
+    assert product_is_zero(Matrix([[1, 1]], 2), Matrix([[1], [2]], 1), 3)
+    assert not product_is_zero(Matrix([[1, 1]], 2), Matrix([[1], [1]], 1), 3)
 
 
 def test_vec_helpers():
@@ -363,7 +414,7 @@ def lowest_q_oracle(cx: ScalarComplex, vec) -> int | None:
     every chain x one degree down."""
     h = cx.grading[next(iter(vec))][0]
     tgts, srcs = cx.gens_at(h), cx.gens_at(h - 1)
-    A = cx.dense_block(srcs, tgts)
+    A = arr(cx.dense_block(srcs, tgts))
     b = np.array([vec.get(g, 0) for g in tgts], dtype=np.int64)
     best = None
     for x in itertools.product(range(cx.p), repeat=len(srcs)):
@@ -417,7 +468,7 @@ def test_one_echelon_form_per_homology_question(monkeypatch):
             calls[0] = 0
             M = induced_matrix(lambda v: v, space, space)
             assert calls[0] == (1 if space.dim else 0), (th, h, space.dim)
-            assert (M == np.eye(space.dim, dtype=np.int64)).all()
+            assert (arr(M) == np.eye(space.dim, dtype=np.int64)).all()
             dims.add(space.dim > 0)
         if not th.q_exact:
             calls[0] = 0
@@ -439,14 +490,41 @@ def test_homology_space_and_induced_matrix():
     assert h0.dim == 1 and h1.dim == 0
     rep = h0.rep_vectors()[0]
     # the class of a - b spans, and coords are stable under adding cycles
-    assert h0.coords([rep]).tolist() != [[0]]
+    assert h0.coords([rep]) != [[0]]
     ident = induced_matrix(lambda v: v, h0, h0)
-    assert ident.shape == (1, 1) and ident[0, 0] != 0
+    assert ident.shape == (1, 1) and ident[0][0] != 0
     zero = induced_matrix(lambda v: {}, h0, h0)
-    assert not zero.any()
+    assert not arr(zero).any()
     assert h0.coords([]).shape == (1, 0)
     with pytest.raises(AssertionError, match="not a cycle"):
         h0.coords([rep, {a: 1}])
+
+
+def test_homology_spaces_of_dimension_zero():
+    p = 3
+    cx = ScalarComplex(p)
+    x = cx.add_generator(0, 0)
+    y = cx.add_generator(1, 0)
+    z = cx.add_generator(1, 0)
+    cx.add_entry(x, y, 1)
+    # degree 0 is acyclic, degree 2 has no generators, degree 1 is spanned by z
+    h0, h1, h2 = (HomologySpace(cx, h) for h in (0, 1, 2))
+    assert (h0.dim, h1.dim, h2.dim) == (0, 1, 0)
+    for space in (h0, h2):
+        assert space.rep_vectors() == []
+        assert space.coords([]).shape == (0, 0)
+    assert h1.coords([]).shape == (1, 0)
+    # a boundary has no coordinates in a space of dimension 0, and is 0 in h1
+    assert HomologySpace(cx, 1).coords([{y: 2}]) == [[0]]
+    shapes = {
+        (h0, h2): (0, 0),
+        (h0, h0): (0, 0),
+        (h0, h1): (1, 0),
+        (h1, h2): (0, 1),
+    }
+    for (src, dst), shape in shapes.items():
+        M = induced_matrix(lambda v: v, src, dst)
+        assert M.shape == shape and not arr(M).any()
 
 
 def test_homology_dims_two_term():

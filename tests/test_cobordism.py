@@ -10,6 +10,7 @@ from khovanov_cables.braids import BraidWord, braid_closure, random_braid
 from khovanov_cables.chain_algebra import HomologySpace, ScalarComplex, induced_matrix, rank
 from khovanov_cables.cobordism import (
     BandSpec,
+    ConeSlices,
     TriangleReport,
     band_images,
     band_orientable,
@@ -331,6 +332,20 @@ def test_exactness_failure_is_detected():
     assert not rep.ok and rep.failures
 
 
+def test_les_report_flags_a_composite_that_is_not_zero():
+    # two classes in degree 0 and no differential; a projection that keeps
+    # the subcomplex part leaves every dimension count right, so only the
+    # project-include composite can catch it
+    cx = ScalarComplex(3)
+    s = cx.add_generator(0, 0)
+    t = cx.add_generator(0, 0)
+    cone = ConeSlices(khovanov(3), cx, frozenset({s}), frozenset({t}))
+    assert les_report(cone).ok
+    cone.project = lambda v: {t: (v.get(s, 0) + v.get(t, 0)) % 3}
+    rep = les_report(cone)
+    assert rep.failures == [(0, 0, "project-include", None, None)]
+
+
 def test_exactness_failure_is_detected_on_a_cube_cone():
     th = khovanov(3)
     D = cl(1, 1)
@@ -344,9 +359,13 @@ def test_exactness_failure_is_detected_on_a_cube_cone():
 # -- the reduction within each side of a cone -------------------------------
 
 
+def arr(M):
+    return np.array(M, dtype=np.int64).reshape(M.shape)
+
+
 def dense_les_report(cone):
     """The long-exact-sequence audit on the unreduced cone, kept as the
-    oracle for les_report."""
+    oracle for les_report; its composites are numpy products."""
     cx = cone.cx
     p = cx.p
     rep = TriangleReport(label=theory_label(cone.theory))
@@ -386,13 +405,13 @@ def dense_les_report(cone):
                 rep.checks += 1
                 if lhs != rhs:
                     rep.failures.append((q, h, name, lhs, rhs))
-            if np.any((Mp[h] @ Mi[h]) % p):
+            if np.any((arr(Mp[h]) @ arr(Mi[h])) % p):
                 rep.failures.append((q, h, "project-include", None, None))
             rep.checks += 1
             if h in Md:
-                if np.any((Md[h] @ Mp[h]) % p):
+                if np.any((arr(Md[h]) @ arr(Mp[h])) % p):
                     rep.failures.append((q, h, "connect-project", None, None))
-                if np.any((Mi[h + 1] @ Md[h]) % p):
+                if np.any((arr(Mi[h + 1]) @ arr(Md[h])) % p):
                     rep.failures.append((q, h, "include-connect", None, None))
                 rep.checks += 2
             rows.append((h, S[h].dim, A[h].dim, Q[h].dim, ri[h], rp[h], rd.get(h)))

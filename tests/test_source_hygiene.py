@@ -1,8 +1,11 @@
 """Source checks: no shadowed or unused definitions, no module-level caches,
-no dangling console scripts."""
+no dangling console scripts, no numpy at run time."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -153,3 +156,31 @@ def test_console_scripts_resolve_to_source_modules():
         ).is_file()
         assert found, f"script {name} names missing module {module}"
         assert func, f"script {name} names no function"
+
+
+def test_the_package_runs_without_numpy():
+    # numpy is a test dependency only: importing every module and running
+    # the dense algebra (les_report) and a Lee scan must not load it
+    script = "\n".join(
+        [
+            "import importlib, pkgutil, sys",
+            "import khovanov_cables",
+            "for m in pkgutil.iter_modules(khovanov_cables.__path__):",
+            "    importlib.import_module('khovanov_cables.' + m.name)",
+            "from khovanov_cables.braids import BraidWord, braid_closure",
+            "from khovanov_cables.cobordism import cone_from_cube, les_report",
+            "from khovanov_cables.frobenius import lee_deformation",
+            "from khovanov_cables.lee import s_invariant",
+            "D = braid_closure(BraidWord(2, (1, 1, 1)))",
+            "rep = les_report(cone_from_cube(D, lee_deformation(3), max(D.crossings)))",
+            "assert rep.ok and rep.checks, rep",
+            "assert s_invariant(D) == 2",
+            "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'numpy')",
+            "raise SystemExit(f'numpy loaded: {loaded}' if loaded else 0)",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

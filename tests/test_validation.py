@@ -10,6 +10,7 @@ import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
+from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
 from khovanov_cables.cobordism import block_shifts, cone_from_cube, cone_over_crossing, skein_triangle
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
@@ -93,6 +94,9 @@ BAD_INPUT = {
     "row_word-args33": ("row_word", (1, 0, -1)),
     "row_word-args34": ("row_word", (-1, 0, 0)),
     "TRIO.add_kink-args35": ("TRIO.add_kink", (min(TRIO.edges), 2)),
+    "Matrix-ragged-row": ("Matrix", ([[1, 2], [3]], 2)),
+    "solve-row-counts-differ": ("solve", (Matrix([[1]], 1), Matrix([[1], [0]], 1), 3)),
+    "product_is_zero-inner-sizes-differ": ("product_is_zero", (Matrix([[1, 1]], 2), Matrix([[1]], 1), 3)),
 }
 
 

@@ -2,9 +2,8 @@
 
 Everything downstream reduces to the primitives here: row reduction mod p,
 sparse complexes with (homological, quantum) bigraded generators, Gaussian
-simplification that carries tracked rows (chains pushed down to the
-reduced complex), homology ranks counted on a fully reduced copy (no
-row reduction), and filtration levels of cycles.
+simplification, homology ranks counted on a fully reduced copy (no row
+reduction), and filtration levels of cycles.
 
 Dense matrices are Matrix objects: lists of rows of Python ints reduced
 mod p, so the arithmetic is exact at any size.  Gaussian simplification
@@ -172,7 +171,6 @@ class ScalarComplex:
     Generators carry (h, q). The differential raises h by exactly one; in a
     q-exact complex it preserves q, in a filtered one it never lowers q.
     Entries are indexed both by column and by row so elimination stays local.
-    A tracked row (see track) is one more column whose id is no generator.
     """
 
     def __init__(self, p: int, q_exact: bool = True):
@@ -195,30 +193,14 @@ class ScalarComplex:
         self.rows[g] = {}
         return g
 
-    def track(self, vec: Vec) -> int:
-        """Carry the chain vec as a tracked row; returns its id.
-
-        The id is never a generator, so simplify never eliminates it and
-        rewrites it like any incoming row: afterwards cols[id] is vec pushed
-        down to the reduced complex (the homotopy retraction).
-        """
-        ref = self._next_id
-        self._next_id += 1
-        self.cols[ref] = dict(vec)
-        for g, c in vec.items():
-            self.rows[g][ref] = c
-        return ref
-
     def add_entry(self, src: int, dst: int, coeff: int) -> None:
-        hq = self.grading.get(src)
-        if hq is not None:  # a tracked row has no degree to check
-            hs, qs = hq
-            hd, qd = self.grading[dst]
-            assert hd == hs + 1, "differential must raise h by exactly 1"
-            if self.q_exact:
-                assert qd == qs, "q-exact differential must preserve q"
-            else:
-                assert qd >= qs, "filtered differential must not lower q"
+        hs, qs = self.grading[src]
+        hd, qd = self.grading[dst]
+        assert hd == hs + 1, "differential must raise h by exactly 1"
+        if self.q_exact:
+            assert qd == qs, "q-exact differential must preserve q"
+        else:
+            assert qd >= qs, "filtered differential must not lower q"
         c = (self.cols[src].get(dst, 0) + coeff) % self.p
         if c:
             self.cols[src][dst] = c
@@ -231,8 +213,7 @@ class ScalarComplex:
         """The span of the generators in keep, with their ids and order.
 
         Entries leaving keep are dropped: a subcomplex when keep is closed
-        under d, a quotient when its complement is.  Tracked rows are
-        dropped too.
+        under d, a quotient when its complement is.
         """
         keep = set(keep)
         cx = ScalarComplex(self.p, self.q_exact)
@@ -307,8 +288,7 @@ class ScalarComplex:
         """Eliminate every invertible entry with no q jump, in place.
 
         A q-exact complex ends with zero differential; a filtered one keeps
-        only strictly q-raising entries.  Tracked rows are rewritten along
-        the way, as rows into an eliminated target are.
+        only strictly q-raising entries.
 
         With side, a set of generator ids, only entries whose two ends are
         both in side or both outside it are eliminated.  If side spans a

@@ -5,9 +5,8 @@ circle by a basis element of the Frobenius algebra, and assembles the
 full differential with the usual alternating edge signs. Exponential in
 crossings; meant as the reference engine for small diagrams that the
 scanning engine is checked against, and as the direct route to the
-deformed homology classes of oriented resolutions: `oriented_class` takes
-an orientation as reversed edges and loops, `canonical_cycle` as component
-flips.
+deformed homology classes of oriented resolutions: `canonical_cycle`
+takes an orientation as component flips.
 """
 
 from __future__ import annotations
@@ -105,13 +104,17 @@ class CubeComplex:
 
     # -- distinguished vectors --------------------------------------------
 
-    def state_class(
-        self, bits: State, rev_edges: frozenset[int], rev_loops: frozenset[int]
-    ) -> Vec:
-        """Deformed-theory vector at a state: the tensor of the root labels
-        picked by each circle's parity under the orientation that reverses
-        the given edges and loops."""
+    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
+        """Deformed-theory cycle of the orientation `flips`: at its oriented
+        resolution, the tensor of the root labels picked by each circle's
+        parity under that orientation."""
         th = self.theory
+        rev_edges, rev_loops = self.D.reversed_parts(flips)
+        bits = tuple(oriented_smoothing(self.D.crossings[c], rev_edges) for c in self.cids)
+        circle_of = {e: k for k, c in enumerate(self.circles[bits]) for e in c.edges}
+        for cid in self.cids:
+            pair = {circle_of[e] for e, _ in self.D.crossings[cid].slots}
+            assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
         rs = ResolvedState(self.D, dict(zip(self.cids, bits)))
         labels = [
             th.canonical_label(rs.parity(k, rev_edges, rev_loops))
@@ -125,19 +128,3 @@ class CubeComplex:
             if coeff:
                 vec[self.gid[(bits, choice)]] = coeff
         return vec
-
-    def oriented_class(
-        self, rev_edges: frozenset[int], rev_loops: frozenset[int]
-    ) -> Vec:
-        """Deformed-theory cycle of the orientation that reverses the given
-        edges and loops: the state class of its oriented resolution."""
-        bits = tuple(oriented_smoothing(self.D.crossings[c], rev_edges) for c in self.cids)
-        circle_of = {e: k for k, c in enumerate(self.circles[bits]) for e in c.edges}
-        for cid in self.cids:
-            pair = {circle_of[e] for e, _ in self.D.crossings[cid].slots}
-            assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
-        return self.state_class(bits, rev_edges, rev_loops)
-
-    def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
-        """Deformed-theory cycle of the orientation `flips`."""
-        return self.oriented_class(*self.D.reversed_parts(flips))

@@ -266,9 +266,6 @@ class LinkDiagram:
         components in `flips`."""
         return {c: 1 - 2 * r for c, r in self.oriented_smoothings(flips).items()}
 
-    def crossing_sign(self, cid: int, flips: frozenset[int] = frozenset()) -> int:
-        return self.signs(flips)[cid]
-
     def writhe(self, flips: frozenset[int] = frozenset()) -> int:
         return sum(self.signs(flips).values())
 

@@ -28,9 +28,7 @@ assembled resolution picked out by an orientation) into the generators.
 Attaching lifts the row like any other and caps each reference circle that
 closes with the canonical label of the corresponding circle of the fully
 resolved diagram; delooping and elimination treat it as an incoming row.
-A tracked row of chain_algebra's ScalarComplex carries a chain through
-its simplify the same way, so both engines project a cycle by the same
-rule.  The reference id is no generator, so it is never a pivot.
+The reference id is no generator, so it is never a pivot.
 
 A split scan marks every generator with its smoothing (its side) at one
 crossing, and delooped children keep their parent's side.  Elimination

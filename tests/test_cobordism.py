@@ -1,6 +1,5 @@
-"""Band attachments, the maps they induce, and one-crossing triangles."""
+"""One crossing's mapping cone and the audit of its long exact sequence."""
 
-import itertools
 import random
 
 import numpy as np
@@ -9,280 +8,35 @@ import pytest
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid
 from khovanov_cables.chain_algebra import HomologySpace, ScalarComplex, induced_matrix, rank
 from khovanov_cables.cobordism import (
-    BandSpec,
     ConeSlices,
     TriangleReport,
-    band_images,
-    band_orientable,
-    block_shifts,
     cone_from_cube,
     cone_over_crossing,
-    exactness_check,
     les_report,
-    plumb_band,
-    skein_triangle,
-    surgered_diagram,
     theory_label,
 )
-from khovanov_cables.cube import CubeComplex
-from khovanov_cables.diagrams import LinkDiagram
 from khovanov_cables.frobenius import (
     bar_natan_deformation,
     khovanov,
     lee_deformation,
 )
-from khovanov_cables.scanning import homology_table
-
-UNKNOT = {(0, -1): 1, (0, 1): 1}
-TWO_CIRCLES = {(0, -2): 1, (0, 0): 2, (0, 2): 1}
-HOPF = {(0, 0): 1, (0, 2): 1, (2, 4): 1, (2, 6): 1}
-TREFOIL = {(0, 1): 1, (0, 3): 1, (2, 5): 1, (3, 9): 1}
 
 
 def cl(*letters, strands=2):
     return braid_closure(BraidWord(strands, tuple(letters)))
 
 
-def two_circles():
-    return LinkDiagram().with_free_loop().with_free_loop()
-
-
-# -- plumbing ------------------------------------------------------------
-
-
-def test_plumb_flat_band_between_circles():
-    D = two_circles()
-    la, lb = sorted(D.loops)
-    pb = plumb_band(D, BandSpec(("loop", la), ("loop", lb)))
-    pb.diagram.validate()
-    assert pb.ident == 0 and pb.diagram.n_crossings == 1
-    assert homology_table(pb.diagram, khovanov(3)) == UNKNOT
-    S = surgered_diagram(pb)
-    assert len(S.components()) == 1
-    assert homology_table(S, khovanov(3)) == UNKNOT
-
-
-def test_plumb_twisted_self_band_is_a_kink():
-    D = LinkDiagram().with_free_loop()
-    l0 = next(iter(D.loops))
-    pb = plumb_band(D, BandSpec(("loop", l0), ("loop", l0), half_twist=True))
-    pb.diagram.validate()
-    assert pb.ident == 1 and pb.diagram.n_crossings == 1
-    # the surgered link is the whole plumbed diagram: an unknot again
-    assert homology_table(pb.diagram, khovanov(3)) == UNKNOT
-    assert len(surgered_diagram(pb).components()) == 1
-    assert not band_orientable(pb)
-
-
-def test_plumb_preserves_the_base_link():
-    # smoothing the band crossing the identity way restores the original
-    T = cl(1, 1, 1)
-    e = min(T.edges)
-    for tw in (False, True):
-        pb = plumb_band(T, BandSpec(("edge", e), ("edge", e), half_twist=tw))
-        R, _ = pb.diagram.resolve_crossing(pb.crossing, pb.ident)
-        assert homology_table(R, khovanov(3)) == TREFOIL
-
-
-def test_plumb_rejects_bad_feet():
-    D = two_circles()
-    la = min(D.loops)
-    with pytest.raises(ValueError):
-        plumb_band(D, BandSpec(("loop", la), ("loop", 99)))
-    with pytest.raises(ValueError):
-        plumb_band(D, BandSpec(("arc", la), ("loop", la)))
-
-
-def test_plumb_rejects_feet_in_separate_pieces():
-    D = cl(1, 1, 1).disjoint_union(cl(1, 1))
-    comp = D.component_of_edge()
-    ea = min(D.edges)
-    eb = max(e for e in D.edges if comp[e] != comp[ea])
-    with pytest.raises(ValueError):
-        plumb_band(D, BandSpec(("edge", ea), ("edge", eb)))
-
-
-def test_plumb_rejects_parallel_banks():
-    # the two closure arcs of a one-crossing unknot run parallel along
-    # their shared face, so no flat corridor joins them
-    K = cl(1)
-    e0, e1 = sorted(K.edges)
-    for tw in (False, True):
-        with pytest.raises(ValueError):
-            plumb_band(K, BandSpec(("edge", e0), ("edge", e1), half_twist=tw))
-
-
-def test_plumb_rejects_loop_in_another_face():
-    # the free circle floats in the outer region; an edge fully inside
-    # a lobe of its piece cannot reach it
-    T = cl(1, 1, 1).with_free_loop()
-    l0 = next(iter(T.loops))
-    rejected = 0
-    joined = 0
-    for e in sorted(T.edges):
-        try:
-            pb = plumb_band(T, BandSpec(("edge", e), ("loop", l0)))
-            pb.diagram.validate()
-            joined += 1
-        except ValueError:
-            rejected += 1
-    assert joined and rejected
-
-
-# -- the induced map on deformed homology --------------------------------
-
-
-def test_merge_band_carries_lee_generators():
-    # merging two circles multiplies the labels: matching orientations
-    # survive, clashing ones die
-    D = two_circles()
-    la, lb = sorted(D.loops)
-    for th in (lee_deformation(3), bar_natan_deformation(3)):
-        pb, imgs = band_images(D, BandSpec(("loop", la), ("loop", lb)), th)
-        assert band_orientable(pb)
-        got = {im.flips: im for im in imgs}
-        for fl, im in got.items():
-            if len(fl) in (0, 2):
-                assert im.compatible and im.scale is not None
-                assert im.scale % 3 != 0
-            else:
-                assert not im.compatible and im.image_zero
-
-
-def test_split_band_carries_lee_generators():
-    D = LinkDiagram().with_free_loop()
-    l0 = next(iter(D.loops))
-    pb, imgs = band_images(D, BandSpec(("loop", l0), ("loop", l0)), lee_deformation(3))
-    S = surgered_diagram(pb)
-    assert len(S.components()) == 2
-    assert homology_table(S, khovanov(3)) == TWO_CIRCLES
-    for im in imgs:
-        assert im.compatible and im.scale is not None and im.scale % 3 != 0
-
-
-def test_nonorientable_band_kills_lee_classes():
-    for th in (lee_deformation(3), bar_natan_deformation(3)):
-        for D, foot in [
-            (LinkDiagram().with_free_loop(), None),
-            (cl(1), "edge"),
-            (cl(-1), "edge"),
-            (cl(1, 1), "edge"),
-        ]:
-            if foot is None:
-                f = ("loop", next(iter(D.loops)))
-            else:
-                f = ("edge", min(D.edges))
-            pb, imgs = band_images(D, BandSpec(f, f, half_twist=True), th)
-            assert not band_orientable(pb)
-            for im in imgs:
-                assert not im.compatible
-                assert im.image_zero
-
-
-def test_twisted_band_between_components_needs_one_flip():
-    # a half twist between two circles still merges them, but only the
-    # orientation pairs that disagree survive
-    D = two_circles()
-    la, lb = sorted(D.loops)
-    pb, imgs = band_images(
-        D, BandSpec(("loop", la), ("loop", lb), half_twist=True), lee_deformation(3)
-    )
-    assert band_orientable(pb)
-    for im in imgs:
-        if len(im.flips) == 1:
-            assert im.compatible and im.scale is not None and im.scale % 3 != 0
-        else:
-            assert not im.compatible and im.image_zero
-
-
-def test_band_laws_randomized():
-    rng = random.Random(7)
-    th = lee_deformation(3)
-    kept = 0
-    nonzero_hits = 0
-    zero_hits = 0
-    trials = 0
-    while kept < 60:
-        trials += 1
-        assert trials < 1000, "rejection rate exploded"
-        strands = rng.choice([2, 2, 3])
-        w = random_braid(rng, strands, rng.randint(1, 4))
-        D = braid_closure(w)
-        if rng.random() < 0.3:
-            D = D.with_free_loop(ccw=rng.random() < 0.5)
-        feet = [("edge", e) for e in D.edges] + [("loop", l) for l in D.loops]
-        band = BandSpec(rng.choice(feet), rng.choice(feet), rng.random() < 0.5)
-        try:
-            pb, imgs = band_images(D, band, th)
-        except ValueError:
-            continue
-        kept += 1
-        for im in imgs:
-            if im.compatible:
-                assert im.scale is not None and im.scale % 3 != 0, (w.letters, band)
-                nonzero_hits += 1
-            else:
-                assert im.image_zero, (w.letters, band, sorted(im.flips))
-                zero_hits += 1
-    assert nonzero_hits >= 50 and zero_hits >= 50
-
-
-# -- triangles -----------------------------------------------------------
-
-
-def test_kink_triangle_roles():
-    K = cl(1)
-    t = skein_triangle(K, min(K.crossings))
-    assert t.sign == 1 and t.oriented_r == 0
-    assert t.natures() == ("nonorientable", "split", "merge")
-    assert homology_table(t.oriented_diagram, khovanov(3)) == TWO_CIRCLES
-    assert homology_table(t.unoriented_diagram, khovanov(3)) == UNKNOT
-    # the map to the oriented smoothing has homological degree zero
-    assert t.shifts[t.oriented_r][0] == 0
-
-
-def test_trefoil_triangle_roles():
-    T = cl(1, 1, 1)
-    t = skein_triangle(T, max(T.crossings))
-    assert t.natures() == ("nonorientable", "split", "merge")
-    assert homology_table(t.oriented_diagram, khovanov(3)) == HOPF
-    assert homology_table(t.unoriented_diagram, khovanov(3)) == UNKNOT
-    assert t.shifts[t.oriented_r][0] == 0
-
-
-def test_negative_crossing_triangle():
-    T = cl(-1, -1, -1)
-    t = skein_triangle(T, max(T.crossings))
-    assert t.sign == -1 and t.oriented_r == 1
-    assert t.natures() == ("nonorientable", "split", "merge")
-    assert t.shifts[t.oriented_r][0] == 0
-    for rep in exactness_check(t).values():
-        assert rep.ok, rep.failures
+THEORIES = [khovanov(3), lee_deformation(3), bar_natan_deformation(3)]
 
 
 def test_triangle_exactness_on_small_suite():
-    for D in [cl(1), cl(1, 1), cl(1, 1, 1), cl(1, -2, 1, -2, strands=3)]:
-        for cid in sorted(D.crossings):
-            t = skein_triangle(D, cid)
-            reps = exactness_check(t)
-            assert set(reps) == {"khovanov", "lee", "bar_natan"}
-            for name, rep in reps.items():
-                assert rep.ok, (name, cid, rep.failures)
+    suite = [cl(1), cl(1, 1), cl(1, 1, 1), cl(-1, -1), cl(1, -2, 1, -2, strands=3), cl(-1, -1, -1)]
+    for th in THEORIES:
+        for D in suite:
+            for cid in sorted(D.crossings):
+                rep = les_report(cone_over_crossing(D, th, cid))
+                assert rep.ok, (theory_label(th), cid, rep.failures)
                 assert rep.checks > 0
-
-
-def test_saddle_quantum_degree_is_minus_one():
-    # in raw terms (before per-diagram orientation renormalization) the
-    # merge/split between the two smoothings always drops q by one
-    for D in [cl(1), cl(1, 1), cl(1, 1, 1), cl(-1, -1), cl(1, -2, 1, -2, strands=3)]:
-        for cid in sorted(D.crossings):
-            sh = block_shifts(D, cid)
-            if sh[0] is None or sh[1] is None:
-                continue
-            R0, _ = D.resolve_crossing(cid, 0)
-            R1, _ = D.resolve_crossing(cid, 1)
-            eff = lambda R: R.n_plus() - 2 * R.n_minus()
-            assert sh[0][1] - sh[1][1] + eff(R0) - eff(R1) == -1
 
 
 def nonzero_les_rows(cone) -> dict:
@@ -417,9 +171,6 @@ def dense_les_report(cone):
             rows.append((h, S[h].dim, A[h].dim, Q[h].dim, ri[h], rp[h], rd.get(h)))
         rep.buckets.append({"q": q, "rows": rows})
     return rep
-
-
-THEORIES = [khovanov(3), lee_deformation(3), bar_natan_deformation(3)]
 
 
 def random_cones(seed, count):

@@ -256,23 +256,3 @@ def test_homology_dims_counts_without_row_reduction(theory, monkeypatch):
         calls.clear()
         assert cx.homology_dims() == want
         assert not calls, calls
-
-
-def test_simplify_preserves_levels():
-    # levels survive the filtered reduction; this is what lets the fast
-    # engine report the same numbers as the cube
-    rng = Random(37)
-    for _ in range(5):
-        w = random_braid(rng, rng.randint(2, 3), rng.randint(1, 4))
-        D = braid_closure(w)
-        cc = CubeComplex(D, fr.lee_deformation(3))
-        ncomp = len(D.components())
-        for bits in product((0, 1), repeat=ncomp):
-            flips = frozenset(i for i, b in enumerate(bits) if b)
-            v = cc.canonical_cycle(flips)
-            want = cc.cx.filtration_level(v)
-            red = cc.cx.copy()
-            ref = red.track(v)
-            red.simplify()
-            got = red.filtration_level(red.cols[ref])
-            assert got == want

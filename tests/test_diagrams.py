@@ -17,7 +17,13 @@ from khovanov_cables.braids import (
     row_word,
 )
 from khovanov_cables.diagrams import Crossing, oriented_smoothing
+from khovanov_cables.frobenius import khovanov
 from khovanov_cables.lee import s_invariant
+from khovanov_cables.scanning import homology_table
+
+UNKNOT = {(0, -1): 1, (0, 1): 1}
+TWO_CIRCLES = {(0, -2): 1, (0, 0): 2, (0, 2): 1}
+HOPF = {(0, 0): 1, (0, 2): 1, (2, 4): 1, (2, 6): 1}
 
 
 def closure(*letters, strands=None):
@@ -155,7 +161,6 @@ def test_signs_writhe_and_linking_under_every_flip_set():
             assert signs == {
                 c: base[c] * (-1) ** ((a in flips) + (b in flips)) for c, (a, b) in ends.items()
             }
-            assert {c: D.crossing_sign(c, flips) for c in D.crossings} == signs
             values = list(signs.values())
             assert D.writhe(flips) == sum(values)
             assert (D.n_plus(flips), D.n_minus(flips)) == (values.count(1), values.count(-1))
@@ -295,9 +300,11 @@ def test_resolve_trefoil():
     H.validate()
     assert H.n_crossings == 2 and len(H.components()) == 2
     assert H.writhe() == 2  # oriented smoothing leaves the positive Hopf form
+    assert homology_table(H, khovanov(3)) == HOPF
     U, em = T.resolve_crossing(c, 1)
     U.validate()
     assert U.n_crossings == 2 and len(U.components()) == 1
+    assert homology_table(U, khovanov(3)) == UNKNOT
 
 
 def test_resolve_frees_circles():
@@ -307,13 +314,17 @@ def test_resolve_frees_circles():
     D = closure(1)
     c = min(D.crossings)
     sizes = set()
+    tables = {}
     for r in (0, 1):
         R, em = D.resolve_crossing(c, r)
         R.validate()
         assert R.n_crossings == 0 and not R.edges
         assert not em
         sizes.add(len(R.loops))
+        tables[r] = homology_table(R, khovanov(3))
     assert sizes == {1, 2}
+    # the positive kink's oriented smoothing is the 0-smoothing
+    assert tables == {0: TWO_CIRCLES, 1: UNKNOT}
 
 
 def test_resolve_edge_map_is_total():

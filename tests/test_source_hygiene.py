@@ -1,5 +1,6 @@
 """Source checks: no shadowed or unused definitions, no module-level caches,
-no dangling console scripts, no numpy at run time."""
+no dangling console scripts, no numpy at run time, and a package map that
+names every module."""
 
 import ast
 import os
@@ -71,6 +72,21 @@ def test_every_definition_is_used():
         if words[name] <= times_defined[name]
     ]
     assert not found, found
+
+
+def test_package_map_names_every_module():
+    # each bullet of the package docstring's map starts with the modules it
+    # describes, comma-separated, up to the first colon
+    doc = ast.get_docstring(ast.parse((SRC / "khovanov_cables" / "__init__.py").read_text()))
+    _, _, bullets = doc.partition("Subpackage map:")
+    mapped = [
+        name.strip()
+        for line in bullets.splitlines()
+        if line.startswith("- ")
+        for name in line[2:].partition(":")[0].split(",")
+    ]
+    modules = sorted(p.stem for p in (SRC / "khovanov_cables").glob("*.py") if p.stem != "__init__")
+    assert sorted(mapped) == modules
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

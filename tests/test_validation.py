@@ -11,7 +11,7 @@ import pytest
 from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
 from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
-from khovanov_cables.cobordism import block_shifts, cone_from_cube, cone_over_crossing, skein_triangle
+from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
 from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
@@ -76,7 +76,6 @@ BAD_INPUT = {
     "TRIO.writhe-args15": ("TRIO.writhe", (frozenset({7}),)),
     "CubeComplex-args16": ("CubeComplex", (TRIO, khovanov(3), frozenset({7}))),
     "TRIO_LEE.canonical_cycle-args17": ("TRIO_LEE.canonical_cycle", (frozenset({9}),)),
-    "block_shifts-args18": ("block_shifts", (TRIO, 0, frozenset({5}))),
     "read_pd-args19": ("read_pd", ("PD[X[1,2,3], X[3,2,1]]",)),
     "orientation_flips-args20": ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
     "count_inter_crossings-args21": ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
@@ -87,7 +86,6 @@ BAD_INPUT = {
     "cable_of_braid-args26": ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
     "cone_over_crossing-args27": ("cone_over_crossing", (TRIO, khovanov(3), 99)),
     "cone_from_cube-args28": ("cone_from_cube", (TRIO, khovanov(3), 99)),
-    "skein_triangle-args29": ("skein_triangle", (TRIO, 99)),
     "THREE_STRANDS.__mul__-args30": ("THREE_STRANDS.__mul__", (BraidWord(2, (1,)),)),
     "row_word-args31": ("row_word", (1, -1, 0)),
     "row_word-args32": ("row_word", (1, 0, 3)),
@@ -113,7 +111,7 @@ def test_harness_rejects_bad_input(name, args):
 
 @pytest.mark.parametrize(
     "name, args",
-    [row for row in BAD_INPUT.values() if row[0] in ("cone_over_crossing", "cone_from_cube", "skein_triangle")],
+    [row for row in BAD_INPUT.values() if row[0] in ("cone_over_crossing", "cone_from_cube")],
 )
 def test_cone_builders_name_a_missing_crossing(name, args):
     with pytest.raises(ValueError, match="crossing 99 "):

@@ -5,6 +5,12 @@ sparse complexes with (homological, quantum) bigraded generators, Gaussian
 simplification, homology ranks counted on a fully reduced copy (no row
 reduction), and filtration levels of cycles.
 
+Every Gaussian elimination in the package, on a ScalarComplex here and on
+the scan engine's complexes of tangles, runs through eliminate_cheapest:
+it cancels the cheapest pivot first, the one whose cancellation makes the
+fewest new entries, as Bar-Natan's local elimination does to limit
+fill-in.
+
 Dense matrices are Matrix objects: lists of rows of Python ints reduced
 mod p, so the arithmetic is exact at any size.  Gaussian simplification
 runs first wherever homology is asked for, so the dense matrices left are
@@ -14,6 +20,7 @@ lists need no array library.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable
 
 # sparse vector: generator id -> nonzero coefficient mod p
@@ -162,6 +169,44 @@ def add_into(out: dict, terms: Iterable[tuple], p: int, scalar: int = 1) -> dict
     return out
 
 
+# -- Gaussian elimination ------------------------------------------------
+
+
+def eliminate_cheapest(
+    pivots: Iterable[tuple],
+    pivot: Callable[[object, object], int | None],
+    cost: Callable[[object, object], int],
+    eliminate: Callable[[object, object, int], Iterable[tuple]],
+) -> None:
+    """Cancel the cheapest pivot (x, y) until none is left.
+
+    pivots are the entries that are pivots to begin with.  pivot(x, y) is
+    the unit of a cancellable entry, else None (also when the entry is
+    gone); cost(x, y) counts the compositions cancelling it makes;
+    eliminate(x, y, u) cancels it and returns the pairs it rewrote.  A
+    lazy min-heap holds (cost, x, y), with the cost an entry had when
+    pushed.  A popped entry that is no longer a pivot is skipped, and one
+    whose cost has grown goes back with its current cost.  The caller's
+    pivot test must change only where eliminate rewrites: a rewritten pair
+    that is a pivot is pushed then.  Ties fall to the smaller (x, y), so
+    the order is deterministic.
+    """
+    heap = [(cost(x, y), x, y) for x, y in pivots]
+    heapify(heap)
+    while heap:
+        was, x, y = heappop(heap)
+        u = pivot(x, y)
+        if u is None:
+            continue
+        now = cost(x, y)
+        if now > was:
+            heappush(heap, (now, x, y))
+            continue
+        for z, w in eliminate(x, y, u):
+            if pivot(z, w) is not None:
+                heappush(heap, (cost(z, w), z, w))
+
+
 # -- complexes -----------------------------------------------------------
 
 
@@ -201,12 +246,13 @@ class ScalarComplex:
             assert qd == qs, "q-exact differential must preserve q"
         else:
             assert qd >= qs, "filtered differential must not lower q"
-        c = (self.cols[src].get(dst, 0) + coeff) % self.p
+        col = self.cols[src]
+        c = (col.get(dst, 0) + coeff) % self.p
         if c:
-            self.cols[src][dst] = c
+            col[dst] = c
             self.rows[dst][src] = c
         else:
-            self.cols[src].pop(dst, None)
+            col.pop(dst, None)
             self.rows[dst].pop(src, None)
 
     def restrict(self, keep) -> "ScalarComplex":
@@ -288,7 +334,9 @@ class ScalarComplex:
         """Eliminate every invertible entry with no q jump, in place.
 
         A q-exact complex ends with zero differential; a filtered one keeps
-        only strictly q-raising entries.
+        only strictly q-raising entries.  The cheapest entry s -> t goes
+        first (eliminate_cheapest), at cost (entries into t - 1) times
+        (entries out of s - 1): the entries its cancellation writes.
 
         With side, a set of generator ids, only entries whose two ends are
         both in side or both outside it are eliminated.  If side spans a
@@ -296,33 +344,36 @@ class ScalarComplex:
         x -> y adds entries z -> w for z -> y and x -> w, so w is in side
         when x is, and z is outside side when y is.
         """
-        stack = [(s, t) for s, col in self.cols.items() for t in col]
-        while stack:
-            s, t = stack.pop()
-            if s not in self.grading or t not in self.grading:
-                continue
-            u = self.cols[s].get(t)
-            if not u:
-                continue
-            if not self.q_exact and self.grading[s][1] != self.grading[t][1]:
-                continue
-            if side is not None and (s in side) != (t in side):
-                continue
-            stack.extend(self._eliminate(s, t, u))
+        grading, cols, rows, exact = self.grading, self.cols, self.rows, self.q_exact
+
+        def ok(s: int, t: int) -> bool:
+            return (exact or grading[s][1] == grading[t][1]) and (
+                side is None or (s in side) == (t in side)
+            )
+
+        def pivot(s: int, t: int) -> int | None:
+            # cols[s] drops t when t goes, and cols loses s when s goes
+            col = cols.get(s)
+            u = None if col is None else col.get(t)
+            return u if u and ok(s, t) else None
+
+        def cost(s: int, t: int) -> int:
+            return (len(rows[t]) - 1) * (len(cols[s]) - 1)
+
+        pivots = [(s, t) for s, col in cols.items() for t in col if ok(s, t)]
+        eliminate_cheapest(pivots, pivot, cost, self._eliminate)
 
     def _eliminate(self, x: int, y: int, u: int) -> list[tuple[int, int]]:
-        phi = {w: c for w, c in self.cols[x].items() if w != y}
-        srcs = {z: c for z, c in self.rows[y].items() if z != x}
+        phi = [(w, c) for w, c in self.cols[x].items() if w != y]
+        srcs = [(z, c) for z, c in self.rows[y].items() if z != x]
         uinv = inv_mod(u, self.p)
-        touched: list[tuple[int, int]] = []
-        for z, v in srcs.items():
+        for z, v in srcs:
             f = (v * uinv) % self.p
-            for w, c in phi.items():
+            for w, c in phi:
                 self.add_entry(z, w, -f * c)
-                touched.append((z, w))
         self._drop_generator(x)
         self._drop_generator(y)
-        return touched
+        return [(z, w) for z, _ in srcs for w, _ in phi]
 
     def _drop_generator(self, g: int) -> None:
         for t in self.cols.pop(g):

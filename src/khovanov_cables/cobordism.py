@@ -107,10 +107,10 @@ def cone_over_crossing(
     cid: int,
     flips: frozenset[int] = frozenset(),
 ) -> ConeSlices:
-    """Scan the diagram, attaching `cid` last, and package the result as a
-    cone.  Elimination at `cid` stays within each smoothing's side, so
-    the sub and quotient blocks come out already reduced.  Scales to
-    diagrams far beyond the full cube."""
+    """Scan the diagram, splitting it at `cid`, and package the result as
+    a cone.  From the attach of `cid` on, elimination stays within each
+    smoothing's side, so the sub and quotient blocks come out already
+    reduced.  Scales to diagrams far beyond the full cube."""
     _crossing_ok(D, cid)
     res = scan_complex(D, theory, flips=flips, split_at=cid)
     sub = frozenset(res.split["one"])

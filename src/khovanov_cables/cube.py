@@ -7,6 +7,12 @@ crossings; meant as the reference engine for small diagrams that the
 scanning engine is checked against, and as the direct route to the
 deformed homology classes of oriented resolutions: `canonical_cycle`
 takes an orientation as component flips.
+
+Generator ids are laid out by state: each state's generators take
+consecutive ids from the state's first id, in the order of their labels
+read as binary numbers.  The edge maps find a target generator by that
+offset arithmetic, with each state's circle positions computed once; gid
+keeps the (state, labels) -> id table for the callers that look one up.
 """
 
 from __future__ import annotations
@@ -24,6 +30,14 @@ GenKey = tuple[State, tuple[int, ...]]
 
 def _circle_key(c: Circle):
     return c.loop if c.edges == frozenset() else c.edges
+
+
+def _offset(labels: tuple[int, ...]) -> int:
+    """Position of labels in product((0, 1), repeat=len(labels))."""
+    off = 0
+    for b in labels:
+        off = 2 * off + b
+    return off
 
 
 class CubeComplex:
@@ -49,58 +63,68 @@ class CubeComplex:
 
         self.cx = ScalarComplex(theory.p, q_exact=theory.q_exact)
         self.gid: dict[GenKey, int] = {}
+        first: dict[State, int] = {}
         for bits, circles in self.circles.items():
+            first[bits] = len(self.gid)
             w = sum(bits)
             for labels in product((0, 1), repeat=len(circles)):
-                deg = sum(1 if b == 0 else -1 for b in labels)
+                deg = len(labels) - 2 * sum(labels)
                 h = w - n_minus
                 q = deg + w + n_plus - 2 * n_minus
                 self.gid[(bits, labels)] = self.cx.add_generator(h, q)
+        assert all(
+            g == first[bits] + _offset(labels) for (bits, labels), g in self.gid.items()
+        ), "generator ids must run through each state's labels in binary order"
 
+        index = {
+            bits: {_circle_key(c): k for k, c in enumerate(circles)}
+            for bits, circles in self.circles.items()
+        }
         for bits in self.circles:
-            for i, c in enumerate(self.cids):
-                if bits[i]:
-                    continue
-                self._add_edge_maps(bits, i)
+            for i in range(n):
+                if not bits[i]:
+                    self._add_edge_maps(bits, i, index, first)
 
-    def _add_edge_maps(self, bits: State, i: int) -> None:
+    def _add_edge_maps(self, bits: State, i: int, index: dict, first: dict) -> None:
+        """Entries of the edge from bits to bits with crossing i set to 1.
+
+        index maps each state to its circle-key -> position map, first to
+        its first generator id.  Circle k of a state with n circles is bit
+        n - 1 - k of a generator's offset from that id.
+        """
         th = self.theory
         tbits = bits[:i] + (1,) + bits[i + 1 :]
         sign = -1 if sum(bits[:i]) % 2 else 1
-        src_c = self.circles[bits]
-        tgt_c = self.circles[tbits]
-        tgt_index = {_circle_key(c): k for k, c in enumerate(tgt_c)}
-        src_index = {_circle_key(c): k for k, c in enumerate(src_c)}
-        changed_src = [k for k, c in enumerate(src_c) if _circle_key(c) not in tgt_index]
-        changed_tgt = [k for k, c in enumerate(tgt_c) if _circle_key(c) not in src_index]
-        carry = {
-            k: tgt_index[_circle_key(c)]
-            for k, c in enumerate(src_c)
-            if _circle_key(c) in tgt_index
-        }
-
-        for labels in product((0, 1), repeat=len(src_c)):
-            src_gid = self.gid[(bits, labels)]
-            base = [0] * len(tgt_c)
-            for k, pos in carry.items():
-                base[pos] = labels[k]
-            if len(changed_src) == 2:
-                (a, b), (out,) = changed_src, changed_tgt
-                terms = []
-                for bit, coeff in th.m_basis(labels[a], labels[b]):
-                    tl = list(base)
-                    tl[out] = bit
-                    terms.append((tuple(tl), coeff))
-            else:
-                (a,), (x, y) = changed_src, changed_tgt
-                terms = []
-                for bx, by, coeff in th.delta_basis(labels[a]):
-                    tl = list(base)
-                    tl[x], tl[y] = bx, by
-                    terms.append((tuple(tl), coeff))
-            for tlabels, coeff in terms:
-                dst_gid = self.gid[(tbits, tlabels)]
-                self.cx.add_entry(src_gid, dst_gid, sign * coeff)
+        src_index, tgt_index = index[bits], index[tbits]
+        ns, nt = len(src_index), len(tgt_index)
+        # per source circle, the target bit it carries to, or 0 at the saddle
+        steps = [1 << (nt - 1 - tgt_index[key]) if key in tgt_index else 0 for key in src_index]
+        changed_src = [ns - 1 - k for k, step in enumerate(steps) if not step]
+        changed_tgt = [nt - 1 - k for key, k in tgt_index.items() if key not in src_index]
+        if len(changed_src) == 2:
+            (a, b), (out,) = changed_src, changed_tgt
+            terms = {
+                la << a | lb << b: [(bit << out, sign * c) for bit, c in th.m_basis(la, lb)]
+                for la in (0, 1)
+                for lb in (0, 1)
+            }
+            mask = 1 << a | 1 << b
+        else:
+            (a,), (x, y) = changed_src, changed_tgt
+            terms = {
+                la << a: [(bx << x | by << y, sign * c) for bx, by, c in th.delta_basis(la)]
+                for la in (0, 1)
+            }
+            mask = 1 << a
+        # spread[off]: the target state's first id plus the bits that the
+        # carried circles of source offset off keep
+        spread = [first[tbits]]
+        for step in steps:
+            spread = [t + bit for t in spread for bit in (0, step)]
+        src0 = first[bits]
+        for off, t in enumerate(spread):
+            for dt, c in terms[off & mask]:
+                self.cx.add_entry(src0 + off, t + dt, c)
 
     # -- distinguished vectors --------------------------------------------
 

@@ -31,16 +31,17 @@ resolved diagram; delooping and elimination treat it as an incoming row.
 The reference id is no generator, so it is never a pivot.
 
 A split scan marks every generator with its smoothing (its side) at one
-crossing, and delooped children keep their parent's side.  Elimination
-there cancels only entries between generators on the same side, which
-keeps the one side a subcomplex and the zero side the quotient.
+crossing, attached where the plain scan order puts it, and later children
+keep their parent's side.  From that attach on, elimination cancels only
+entries between generators on the same side, which keeps the one side a
+subcomplex and the zero side the quotient.
 
 Elimination cancels the cheapest iso entry (x, y) first: the one whose
 cancellation makes the fewest compositions, (entries into y - 1) times
 (entries out of x - 1), as Bar-Natan's local Gaussian elimination does to
-limit fill-in.  A lazy min-heap of (cost, x, y) finds it: a popped entry
-whose cost has grown since it was pushed goes back with its current cost,
-and ties fall to the smaller (x, y), so the order is deterministic.
+limit fill-in.  The rule is chain_algebra.eliminate_cheapest, the one
+elimination driver that ScalarComplex.simplify runs on too; ties fall to
+the smaller (x, y), so the order is deterministic.
 
 Surfaces are stored by the boundary points each component touches.  An open
 point (an open edge e) is the bit 1 << e of an int, and a closed circle not
@@ -65,11 +66,10 @@ while a memo kept for a whole scan would grow with it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Sequence
 
-from .chain_algebra import ScalarComplex, Vec, add_into, inv_mod
+from .chain_algebra import ScalarComplex, Vec, add_into, eliminate_cheapest, inv_mod
 from .diagrams import LinkDiagram, smoothing_pairs
 from .frobenius import Theory
 from .planar import ResolvedState
@@ -406,15 +406,13 @@ def _identity_parts(matching: dict) -> list:
 # sweep order
 
 
-def scan_order(
-    D: LinkDiagram, exclude: frozenset = frozenset()
-) -> tuple[list, int]:
+def scan_order(D: LinkDiagram) -> tuple[list, int]:
     """Greedy crossing order keeping the open boundary narrow.
 
     Returns (order, girth): girth is the largest number of simultaneously
-    open edges along the order.  Crossings in exclude are left out.
+    open edges along the order.
     """
-    remaining = set(D.crossings) - set(exclude)
+    remaining = set(D.crossings)
     scanned: set = set()
     open_edges: set = set()
     order: list = []
@@ -739,36 +737,20 @@ class _Scan:
     def _eliminate_all(self, memo: _SurfaceMemo) -> None:
         """Eliminate the cheapest iso entry (x, y) until none is left.
 
-        The heap holds (cost, x, y) for iso entries, with the cost they had
-        when pushed.  An entry's iso test reads only its morphism and the
-        rawq and side of its two ends, which never change, so an entry turns
-        iso only when an elimination rewrites it, and is pushed then.  Costs
-        move as eliminations rewrite rows and columns: a popped entry that is
-        gone or no longer iso is skipped, and one whose cost has grown goes
-        back with its current cost.
+        An entry's iso test reads only its morphism and the rawq and side
+        of its two ends, which never change, so an entry turns iso only
+        when an elimination rewrites it, as eliminate_cheapest assumes.
         """
-        d = self.d
-        heap = [
-            (self._cost(x, y), x, y)
-            for x, row in d.items()
-            for y, m in row.items()
-            if self._iso_scalar(x, y, m) is not None
-        ]
-        heapify(heap)
-        while heap:
-            cost, x, y = heappop(heap)
+        d, iso = self.d, self._iso_scalar
+
+        def pivot(x: int, y: int):
             m = d.get(x, {}).get(y)
-            u = None if m is None else self._iso_scalar(x, y, m)
-            if u is None:
-                continue
-            now = self._cost(x, y)
-            if now > cost:
-                heappush(heap, (now, x, y))
-                continue
-            for z, w in self._eliminate(x, y, u, memo):
-                m = d.get(z, {}).get(w)
-                if m is not None and self._iso_scalar(z, w, m) is not None:
-                    heappush(heap, (self._cost(z, w), z, w))
+            return None if m is None else iso(x, y, m)
+
+        pivots = [(x, y) for x, row in d.items() for y, m in row.items() if iso(x, y, m)]
+        eliminate_cheapest(
+            pivots, pivot, self._cost, lambda x, y, u: self._eliminate(x, y, u, memo)
+        )
 
     # -- export
 
@@ -851,18 +833,16 @@ def scan_complex(
     flips fixes the orientation used for the grading shifts.  orientations
     lists the orientations whose distinguished cycles should be transported;
     the result maps each to a vector in the returned complex.  split_at
-    names a crossing to attach last, keeping the generators from its two
-    smoothings apart: .split lists them, the one side a subcomplex and the
-    zero side its quotient, each reduced by elimination on its own.
+    names a crossing whose two smoothings are kept apart from its attach
+    on, wherever scan_order puts it: .split lists them, the one side a
+    subcomplex and the zero side its quotient, each reduced by elimination
+    on its own.
     """
     for o in (flips, *(orientations or [])):
         D.reversed_parts(o)  # raises ValueError before any attach
-    if split_at is None:
-        order, _ = scan_order(D)
-    elif split_at in D.crossings:
-        order = scan_order(D, exclude=frozenset((split_at,)))[0] + [split_at]
-    else:
+    if split_at is not None and split_at not in D.crossings:
         raise ValueError(f"crossing {split_at} is not in the diagram")
+    order, _ = scan_order(D)
     sc = _Scan(D, theory, orientations or [])
     for cid in order:
         sc.attach(cid, split=cid == split_at)

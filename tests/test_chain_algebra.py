@@ -27,6 +27,7 @@ from khovanov_cables.chain_algebra import (
 )
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import khovanov, lee_deformation
+from khovanov_cables.scanning import homology_table
 
 PRIMES = (2, 3, 5)
 
@@ -299,6 +300,37 @@ def test_simplify_preserves_filtered_homology(seed, p):
         for t in col:
             assert cx.grading[t][1] > cx.grading[s][1]
     assert cx.homology_dims() == expected
+
+
+def test_simplify_cancels_the_cheapest_pivot_first():
+    # A filtered complex: (a, y) and (b, y) are pivots competing for y, and
+    # b -> w jumps q, so it is no pivot.  Cancelling (b, y) composes
+    # a -> y -> b -> w, while (a, y) makes no composition and goes first.
+    cx = ScalarComplex(3, q_exact=False)
+    a, b, y, w = (cx.add_generator(h, q) for h, q in ((0, 0), (0, 0), (1, 0), (1, 3)))
+    for src, dst in ((a, y), (b, y), (b, w)):
+        cx.add_entry(src, dst, 1)
+    cx.simplify()
+    assert sorted(cx.grading) == [b, w]
+    assert cx.cols == {b: {w: 1}, w: {}}
+
+
+def test_simplify_keeps_the_fill_in_down(monkeypatch):
+    # Stack-order elimination makes 3 727 835 add_entry calls on this cube.
+    D = braid_closure(BraidWord(4, (-1, 3, -1, -3, -2, 3, 3, -3)))
+    cube = CubeComplex(D, lee_deformation(3))
+    add_entry = ScalarComplex.add_entry
+    calls = [0]
+
+    def counted(cx, *args):
+        calls[0] += 1
+        return add_entry(cx, *args)
+
+    monkeypatch.setattr(ScalarComplex, "add_entry", counted)
+    dims = cube.cx.homology_dims()
+    monkeypatch.undo()
+    assert calls[0] <= 25_000
+    assert dims == homology_table(D, lee_deformation(3))
 
 
 def test_grading_asserts():

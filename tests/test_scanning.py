@@ -15,6 +15,7 @@ from khovanov_cables.frobenius import (
     khovanov,
     lee_deformation,
 )
+from khovanov_cables.induction import LadderEntry, family_diagram
 from khovanov_cables.scanning import homology_table, scan_complex, scan_order
 
 THEORIES = [
@@ -198,6 +199,15 @@ def test_split_and_tracked_scan_matches_the_cube():
                 assert cx.apply_d(v) == {}
                 assert {cx.grading[g][0] for g in v} <= {cube.cx.grading[g][0] for g in want}
                 assert cx.filtration_level(v) == cube.cx.filtration_level(want), (th, o)
+
+
+def test_split_scan_keeps_the_plain_scan_girth():
+    # the split crossing is attached where the plain order puts it, so it
+    # holds no edges open; attached last, some crossings here reach 12
+    D, _ = family_diagram(BraidWord(1, ()), LadderEntry(0, 2, 4, 3))
+    girth = scan_order(D)[1]
+    for cid in sorted(D.crossings):
+        assert scan_complex(D, khovanov(3), split_at=cid).girth == girth, cid
 
 
 def test_disjoint_union_and_loops_through_the_sweep():

@@ -1,6 +1,6 @@
 """Source checks: no shadowed or unused definitions, no module-level caches,
-no dangling console scripts, no numpy at run time, and a package map that
-names every module."""
+no dangling console scripts, no numpy at run time, a package map that
+names every module, and one elimination driver."""
 
 import ast
 import os
@@ -87,6 +87,22 @@ def test_package_map_names_every_module():
     ]
     modules = sorted(p.stem for p in (SRC / "khovanov_cables").glob("*.py") if p.stem != "__init__")
     assert sorted(mapped) == modules
+
+
+def _imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_one_elimination_driver():
+    # every Gaussian elimination runs on chain_algebra.eliminate_cheapest,
+    # so no other module needs a heap
+    users = [p.name for p in sorted(SRC.rglob("*.py")) if "heapq" in _imports(p)]
+    assert users == ["chain_algebra.py"]
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

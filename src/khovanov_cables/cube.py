@@ -13,6 +13,8 @@ consecutive ids from the state's first id, in the order of their labels
 read as binary numbers.  The edge maps find a target generator by that
 offset arithmetic, with each state's circle positions computed once; gid
 keeps the (state, labels) -> id table for the callers that look one up.
+The edge pairs that each crossing's two smoothings join are read once, and
+every state's circles are built from them.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from __future__ import annotations
 from itertools import product
 
 from .chain_algebra import ScalarComplex, Vec
-from .diagrams import LinkDiagram, oriented_smoothing
+from .diagrams import LinkDiagram, oriented_smoothing, smoothing_arcs
 from .frobenius import Theory
-from .planar import Circle, ResolvedState, state_circles
+from .planar import Circle, ResolvedState, circles_of_arcs
 
 State = tuple[int, ...]
 GenKey = tuple[State, tuple[int, ...]]
@@ -56,10 +58,12 @@ class CubeComplex:
         n_plus = D.n_plus(flips)
         n_minus = D.n_minus(flips)
 
+        # arcs[i][r]: the edge pairs that smoothing r of crossing i joins
+        arcs = [[smoothing_arcs(D.crossings[cid], r) for r in (0, 1)] for cid in self.cids]
         self.circles: dict[State, list[Circle]] = {}
         for bits in product((0, 1), repeat=n):
-            sm = dict(zip(self.cids, bits))
-            self.circles[bits] = state_circles(D, sm)
+            state_arcs = [a for i, r in enumerate(bits) for a in arcs[i][r]]
+            self.circles[bits] = circles_of_arcs(D, state_arcs)
 
         self.cx = ScalarComplex(theory.p, q_exact=theory.q_exact)
         self.gid: dict[GenKey, int] = {}

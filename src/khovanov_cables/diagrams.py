@@ -100,6 +100,11 @@ def smoothing_pairs(over_diag: int, r: int) -> list[tuple[int, int]]:
     return [((u + 3) % 4, u), ((u + 1) % 4, (u + 2) % 4)]
 
 
+def smoothing_arcs(x: Crossing, r: int) -> list[tuple[int, int]]:
+    """The edge pairs that smoothing r joins at x, in smoothing_pairs order."""
+    return [(x.slots[sa][0], x.slots[sb][0]) for sa, sb in smoothing_pairs(x.over_diag, r)]
+
+
 def incoming(x: Crossing, rev_edges: frozenset[int]) -> list[bool]:
     """Per slot of x, whether a strand arrives there: the slot holds an
     edge's head, unless the orientation runs that edge backward."""

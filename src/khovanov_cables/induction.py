@@ -40,7 +40,7 @@ from .braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from .cabling import alternating_flips, cable_family_diagram, satellite_word
 from .chain_algebra import HomologySpace, induced_matrix, rank
 from .cobordism import cone_over_crossing
-from .diagrams import LinkDiagram, UnionFind, smoothing_pairs
+from .diagrams import LinkDiagram, UnionFind, smoothing_arcs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
 from .scanning import homology_table
@@ -159,9 +159,8 @@ def smoothed_component_count(D: LinkDiagram, cid: int, r: int) -> int:
             continue
         uf.union(x.slots[0][0], x.slots[2][0])
         uf.union(x.slots[1][0], x.slots[3][0])
-    x = D.crossings[cid]
-    for sa, sb in smoothing_pairs(x.over_diag, r):
-        uf.union(x.slots[sa][0], x.slots[sb][0])
+    for ea, eb in smoothing_arcs(D.crossings[cid], r):
+        uf.union(ea, eb)
     return len(uf.groups()) + len(D.loops)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagrams import Dart, LinkDiagram, UnionFind, smoothing_pairs
+from .diagrams import Dart, LinkDiagram, UnionFind, smoothing_arcs, smoothing_pairs
 
 
 class Embedding:
@@ -67,10 +67,15 @@ class Circle:
 
 def state_circles(D: LinkDiagram, smoothings: dict[int, int]) -> list[Circle]:
     """Circles of a resolved state, edged ones by min edge id, then loops."""
+    arcs = [a for cid, x in D.crossings.items() for a in smoothing_arcs(x, smoothings[cid])]
+    return circles_of_arcs(D, arcs)
+
+
+def circles_of_arcs(D: LinkDiagram, arcs: list[tuple[int, int]]) -> list[Circle]:
+    """state_circles from the edge pairs that the state's smoothings join."""
     uf = UnionFind(D.edges)
-    for cid, x in D.crossings.items():
-        for sa, sb in smoothing_pairs(x.over_diag, smoothings[cid]):
-            uf.union(x.slots[sa][0], x.slots[sb][0])
+    for ea, eb in arcs:
+        uf.union(ea, eb)
     circles = [Circle(frozenset(g)) for g in uf.groups().values()]
     circles.sort(key=lambda c: min(c.edges))
     for lid in sorted(D.loops):

@@ -55,12 +55,16 @@ bit operations on small ints.
 
 Many generators share one matching: each carries a hashable key of it, and
 one attachment rewires each distinct matching once and builds the lifting
-pieces once per pair of matchings.  The surface normalizations of one
+pieces once per pair of step tuples.  The surface normalizations of one
 attachment (gluing, capping, lifting and counting boundary cycles) are
 memoized on unit coefficients, and lifting and capping renormalize only the
 parts they touch.  All these tables live in a _SurfaceMemo that the
 attachment creates and drops: entries repeat heavily within one attachment,
-while a memo kept for a whole scan would grow with it.
+while a memo kept for a whole scan would grow with it.  The surface maps add
+each memoized result, times its coefficient, straight into the target
+morphism; attaching, delooping and elimination edit the rows and columns in
+place; and a part that meets a unit label keeps the other label, with no
+algebra.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-from .chain_algebra import ScalarComplex, Vec, add_into, eliminate_cheapest, inv_mod
-from .diagrams import LinkDiagram, smoothing_pairs
+from .chain_algebra import ScalarComplex, Vec, eliminate_cheapest, inv_mod
+from .diagrams import LinkDiagram, smoothing_arcs
 from .frobenius import Theory
 from .planar import ResolvedState
 
@@ -90,14 +94,15 @@ class _SurfaceMemo:
     A partition reads through the matchings of its morphism, so every table
     whose result depends on them has the matching keys in its key.  glued
     maps (earlier, later, source key, target key) to the composite, capped
-    maps (partition, source bit, target bit, label) to the capped partition
-    (capping keeps the genus, so it needs no matchings), and cycles maps a
-    (source key, target key) pair to the point masks of the cycles of those
-    two matchings.  A caller scales a (partition, c0) result by its own
-    coefficient, which is exact because p is prime and neither factor is
-    zero.  Two more tables serve the attachment itself: rewired maps a
-    matching key to what the crossing makes of that matching, and lifts
-    maps a (key, key, eps) pair of matchings to its lifting pieces, the
+    maps (source bit, target bit, label) to a table from partition to the
+    capped partition (capping keeps the genus, so it needs no matchings),
+    and cycles maps a (source key, target key) pair to the point masks of
+    the cycles of those two matchings.  A caller scales a (partition, c0)
+    result by its own coefficient, which is exact because p is prime and
+    neither factor is zero.  Three more tables serve the attachment itself:
+    rewired maps a matching key to what the crossing makes of that
+    matching, pieces maps a pair of step tuples to its lifting pieces, and
+    lifts maps a (key, key, eps) pair of matchings to its pieces, the
     cycles of the lifted matchings and a table of lifted partitions.
     """
 
@@ -107,6 +112,7 @@ class _SurfaceMemo:
         self.capped: dict = {}
         self.cycles: dict = {}
         self.rewired: dict = {}
+        self.pieces: dict = {}
         self.lifts: dict = {}
 
     def cycles_of(self, ks: frozenset, kt: frozenset) -> tuple:
@@ -212,7 +218,8 @@ def _glue(pt_e: Partition, pt_t: Partition, memo: _SurfaceMemo, ks: frozenset, k
                 points |= g[0]
                 cs |= g[1]
                 ct |= g[2]
-                label = th.mul(label, g[3])
+                lab = g[3]  # a unit label needs no algebra
+                label = lab if label == (1, 0) else label if lab == (1, 0) else th.mul(label, lab)
                 chi += g[4]
             else:
                 rest.append(g)
@@ -223,22 +230,49 @@ def _glue(pt_e: Partition, pt_t: Partition, memo: _SurfaceMemo, ks: frozenset, k
 
 
 def compose(
-    later: Morphism, earlier: Morphism, memo: _SurfaceMemo, ks: frozenset, kt: frozenset
+    later: Morphism, earlier: Morphism, memo: _SurfaceMemo, ks: frozenset, kt: frozenset,
+    out: Morphism, scale: int,
 ) -> Morphism:
-    """later after earlier; the middle objects must agree.
+    """Add scale times later after earlier into out and return it; the
+    middle objects must agree.
 
     ks keys the source matching of earlier, kt the target one of later.
+    Every term is a unit, so a sum that cancels drops a key that is there.
     """
     glued = memo.glued
     p = memo.th.p
-    out: Morphism = {}
     for pt1, c1 in earlier.items():
+        c1 *= scale
         for pt2, c2 in later.items():
             key = (pt1, pt2, ks, kt)
             hit = glued.get(key)
             if hit is None:
                 hit = glued[key] = _glue(pt1, pt2, memo, ks, kt)
-            add_into(out, (hit,), p, c1 * c2)
+            pt, c0 = hit
+            if c0:
+                c = (out.get(pt, 0) + c1 * c2 * c0) % p
+                if c:
+                    out[pt] = c
+                else:
+                    del out[pt]
+    return out
+
+
+def _map(m: Morphism, table: dict, p: int, make, *args) -> Morphism:
+    """m with each partition replaced by its (partition, c0) image, which
+    table memoizes and make(partition, *args) computes on a miss."""
+    out: Morphism = {}
+    for partition, coeff in m.items():
+        hit = table.get(partition)
+        if hit is None:
+            hit = table[partition] = make(partition, *args)
+        pt, c0 = hit
+        if c0:
+            c = (out.get(pt, 0) + coeff * c0) % p
+            if c:
+                out[pt] = c
+            else:
+                del out[pt]
     return out
 
 
@@ -258,7 +292,8 @@ def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
             kept.append(part)
     assert capped is not None, "capped circle is not on the boundary"
     points, pcs, pct, label, chi = capped
-    label = th.mul(label, cap_label)
+    if cap_label != (1, 0):
+        label = th.mul(label, cap_label)
     if label == (0, 0):
         return None, 0
     pcs &= ~cs
@@ -272,15 +307,11 @@ def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
 
 def mor_cap(m: Morphism, cs: int, ct: int, cap_label, memo: _SurfaceMemo) -> Morphism:
     """Cap one circle, source bit cs or target bit ct, with a labeled disk."""
-    capped = memo.capped
-    out: Morphism = {}
-    for partition, coeff in m.items():
-        key = (partition, cs, ct, cap_label)
-        hit = capped.get(key)
-        if hit is None:
-            hit = capped[key] = _cap(partition, cs, ct, cap_label, memo)
-        add_into(out, (hit,), memo.th.p, coeff)
-    return out
+    key = (cs, ct, cap_label)
+    table = memo.capped.get(key)
+    if table is None:
+        table = memo.capped[key] = {}
+    return _map(m, table, memo.th.p, _cap, cs, ct, cap_label, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +392,8 @@ def _apply_piece(parts: list, piece: tuple, th: Theory) -> list:
             points |= part[0]
             cs |= part[1]
             ct |= part[2]
-            label = th.mul(label, part[3])
+            lab = part[3]
+            label = lab if label == (1, 0) else label if lab == (1, 0) else th.mul(label, lab)
             chi += part[4]
         else:
             out.append(part)
@@ -382,16 +414,6 @@ def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo, cycles: tuple
     for piece in pieces:
         working = _apply_piece(working, piece, memo.th)
     return _rebuild(working, memo, cycles, kept)
-
-
-def _lift_morphism(m: Morphism, pieces: tuple, cycles: tuple, table: dict, memo: _SurfaceMemo) -> Morphism:
-    out: Morphism = {}
-    for partition, coeff in m.items():
-        hit = table.get(partition)
-        if hit is None:
-            hit = table[partition] = _lift(partition, pieces, memo, cycles)
-        add_into(out, (hit,), memo.th.p, coeff)
-    return out
 
 
 def _matching_key(matching: dict) -> frozenset:
@@ -450,7 +472,7 @@ def _scan_past(D: LinkDiagram, cid: int, scanned: set, open_edges: set) -> int:
 # the sweep itself
 
 
-@dataclass
+@dataclass(slots=True)
 class _Gen:
     matching: dict
     rawh: int
@@ -519,18 +541,6 @@ class _Scan:
         self.d.setdefault(x, {})[y] = m
         self.rin.setdefault(y, set()).add(x)
 
-    def _del_entry(self, x: int, y: int) -> None:
-        row = self.d.get(x)
-        if row and y in row:
-            del row[y]
-            if not row:
-                del self.d[x]
-        col = self.rin.get(y)
-        if col:
-            col.discard(x)
-            if not col:
-                del self.rin[y]
-
     # -- attaching one crossing
 
     def attach(self, cid: int, split: bool = False):
@@ -539,17 +549,11 @@ class _Scan:
         With split, every new generator records its smoothing at cid as its
         side; otherwise it keeps the side of the generator it came from.
         """
-        D, th = self.D, self.th
+        D, th, p = self.D, self.th, self.p
         memo = _SurfaceMemo(th)
         cr = D.crossings[cid]
         slot_edges = [cr.slots[s][0] for s in range(4)]
-        arcs_by_eps = {
-            eps: [
-                (slot_edges[sa], slot_edges[sb])
-                for sa, sb in smoothing_pairs(cr.over_diag, eps)
-            ]
-            for eps in (0, 1)
-        }
+        arcs_by_eps = {eps: smoothing_arcs(cr, eps) for eps in (0, 1)}
         self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
         glue = new = 0
         for e in set(slot_edges) - self_edges:
@@ -574,25 +578,26 @@ class _Scan:
             return hit
 
         def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
-            """(pieces, cycles, table) lifting a morphism gx -> gy through the
-            crossing; the table memoizes lifted partitions."""
-            key = (gx.key, gy.key, eps)
-            hit = memo.lifts.get(key)
-            if hit is None:
-                sx, sy = rewired(gx)[eps], rewired(gy)[eps]
-                pieces = _lift_pieces(sx[1], sy[1])
-                hit = memo.lifts[key] = (pieces, memo.cycles_of(sx[3], sy[3]), {})
+            """(pieces, cycles, table) lifting gx -> gy through smoothing eps,
+            stored in memo.lifts; the table memoizes lifted partitions."""
+            sx, sy = rewired(gx)[eps], rewired(gy)[eps]
+            steps = (sx[1], sy[1])
+            pieces = memo.pieces.get(steps)
+            if pieces is None:
+                pieces = memo.pieces[steps] = _lift_pieces(*steps)
+            hit = memo.lifts[(gx.key, gy.key, eps)] = (pieces, memo.cycles_of(sx[3], sy[3]), {})
             return hit
 
+        # newid[gid][eps]: the generator that gid's eps smoothing makes
         newid = {}
         old_gens = self.gens
         self.gens = {}
         for gid in sorted(old_gens):
             g = old_gens[gid]
-            for eps in (0, 1):
-                M2, _, circ, key = rewired(g)[eps]
-                side = eps if split else g.side
-                newid[(gid, eps)] = self._new_gen(M2, g.rawh + eps, g.rawq, circ, key, side)
+            newid[gid] = tuple(
+                self._new_gen(M2, g.rawh + eps, g.rawq, circ, key, eps if split else g.side)
+                for eps, (M2, _, circ, key) in enumerate(rewired(g)[:2])
+            )
 
         # a tracked row follows its orientation's smoothing, from the
         # reference tangle before this crossing to the one after it
@@ -609,31 +614,36 @@ class _Scan:
             ]
             refs[tr.ref] = (g_ref, eps, caps)
 
-        old_d = self.d
-        self.d = {}
-        self.rin = {}
+        # a row lifts to its eps = 0 and 1 children's; a tracked row keeps its ref
+        old_d, d, rin, lifts = self.d, {}, {}, memo.lifts
+        self.d, self.rin = d, rin
         for x, row in old_d.items():
             if x in refs:
-                g_ref, eps, caps = refs[x]
+                gx, eps, caps = refs[x]
+                rows = ((x, eps),)
+            else:
+                gx, caps = old_gens[x], ()
+                rows = zip(newid[x], (0, 1))
+            for x2, eps in rows:
+                out = {}
                 for y, m in row.items():
-                    m2 = _lift_morphism(m, *lift(g_ref, old_gens[y], eps), memo)
+                    gy = old_gens[y]
+                    pieces, cycles, table = lifts.get((gx.key, gy.key, eps)) or lift(gx, gy, eps)
+                    m2 = _map(m, table, p, _lift, pieces, memo, cycles)
                     for circle, lab in caps:
                         m2 = mor_cap(m2, circle, 0, lab, memo)
-                    self._set_entry(x, newid[(y, eps)], m2)
-                continue
-            gx = old_gens[x]
-            for y, m in row.items():
-                gy = old_gens[y]
-                for eps in (0, 1):
-                    m2 = _lift_morphism(m, *lift(gx, gy, eps), memo)
-                    self._set_entry(newid[(x, eps)], newid[(y, eps)], m2)
+                    if m2:
+                        y2 = newid[y][eps]
+                        out[y2] = m2
+                        rin.setdefault(y2, set()).add(x2)
+                if out:
+                    d[x2] = out
 
         for gid in sorted(old_gens):
-            g = old_gens[gid]
-            sign = 1 if g.rawh % 2 == 0 else self.p - 1
-            pt, c0 = rewired(g)[2]
+            sign = 1 if old_gens[gid].rawh % 2 == 0 else p - 1
+            pt, c0 = rewired(old_gens[gid])[2]
             if pt is not None:
-                self._set_entry(newid[(gid, 0)], newid[(gid, 1)], {pt: c0 * sign % self.p})
+                self._set_entry(*newid[gid], {pt: c0 * sign % p})
 
         self.girth = max(self.girth, _scan_past(D, cid, self.scanned, self.open))
 
@@ -643,28 +653,39 @@ class _Scan:
     # -- delooping
 
     def _deloop_all(self, memo: _SurfaceMemo) -> None:
-        queue = [gid for gid, g in self.gens.items() if g.circles]
+        """Split each generator's closed circles off, one at a time: the
+        generator's column and row move to its two children gp (the circle
+        capped by pi_plus, q + 1) and gm (by pi_minus, q - 1)."""
+        gens, d, rin = self.gens, self.d, self.rin
+        pi_plus = ((-self.th.h) % self.p, 1)
+        pi_minus = (1, 0)
+        queue = [gid for gid, g in gens.items() if g.circles]
         while queue:
             gid = queue.pop()
-            g = self.gens.get(gid)
-            if g is None or not g.circles:
-                continue
+            g = gens.pop(gid)
             circle, rest = g.circles[0], g.circles[1:]
-            th, p = self.th, self.p
             gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key, g.side)
             gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key, g.side)
-            pi_plus = ((-th.h) % p, 1)
-            pi_minus = (1, 0)
-            for w in sorted(self.rin.get(gid, set())):
-                m = self.d[w][gid]
-                self._del_entry(w, gid)
-                self._set_entry(w, gp, mor_cap(m, 0, circle, pi_plus, memo))
-                self._set_entry(w, gm, mor_cap(m, 0, circle, pi_minus, memo))
-            for z, m in list(self.d.get(gid, {}).items()):
-                self._del_entry(gid, z)
-                self._set_entry(gp, z, mor_cap(m, circle, 0, (1, 0), memo))
-                self._set_entry(gm, z, mor_cap(m, circle, 0, (0, 1), memo))
-            del self.gens[gid]
+            for w in sorted(rin.pop(gid, ())):
+                row = d[w]
+                m = row.pop(gid)
+                for child, pi in ((gp, pi_plus), (gm, pi_minus)):
+                    m2 = mor_cap(m, 0, circle, pi, memo)
+                    if m2:
+                        row[child] = m2
+                        rin.setdefault(child, set()).add(w)
+                if not row:
+                    del d[w]
+            for z, m in d.pop(gid, {}).items():
+                col = rin[z]
+                col.discard(gid)
+                for child, label in ((gp, (1, 0)), (gm, (0, 1))):
+                    m2 = mor_cap(m, circle, 0, label, memo)
+                    if m2:
+                        d.setdefault(child, {})[z] = m2
+                        col.add(child)
+                if not col:
+                    del rin[z]
             if rest:
                 queue.append(gp)
                 queue.append(gm)
@@ -679,10 +700,10 @@ class _Scan:
         a unit label.  A tracked row's x is no generator, and a split scan
         cancels only within one side.
         """
+        if len(m) != 1:
+            return None
         gx, gy = self.gens.get(x), self.gens[y]
         if gx is None or gx.side != gy.side or gy.rawq != gx.rawq - 1:
-            return None
-        if len(m) != 1:
             return None
         (pt, c), = m.items()
         scalar = c
@@ -692,43 +713,53 @@ class _Scan:
             scalar = scalar * label[0] % self.p
         return scalar % self.p or None
 
-    def _key(self, x: int) -> frozenset:
-        """Matching key of a generator or of a tracked row's reference tangle."""
-        g = self.gens.get(x)
-        return g.key if g is not None else self.tracks[x].key
-
     def _eliminate(self, x: int, y: int, u: int, memo: _SurfaceMemo) -> list:
-        """Cancel the iso entry (x, y); returns the pairs (z, w) it rewrote."""
+        """Cancel the iso entry (x, y): each z -> y adds -u^-1 (x -> w)(z -> y)
+        into z -> w, then x and y go.  Returns the rewritten pairs (z, w)
+        that can be iso, those with w's rawq one below z's."""
         p = self.p
-        d, rin = self.d, self.rin
+        d, rin, gens = self.d, self.rin, self.gens
         scale = (-inv_mod(u, p)) % p
-        ins = [(z, d[z][y]) for z in sorted(rin[y]) if z != x]
-        outs = [(w, m, self.gens[w].key) for w, m in sorted(d[x].items()) if w != y]
-        for z, bz in ins:
+        row_x = d.pop(x)
+        del row_x[y]
+        ins = sorted(rin.pop(y) - {x})
+        outs = [(w, row_x[w], gens[w].key, gens[w].rawq) for w in sorted(row_x)]
+        rewritten = []
+        for z in ins:
             row = d[z]
-            kz = self._key(z)
-            for w, cw, kw in outs:
-                # row keeps its entry at y and rin[w] its x until the end,
-                # so neither container empties here
-                tot = add_into(row.get(w, {}), compose(cw, bz, memo, kz, kw).items(), p, scale)
-                if tot:
-                    row[w] = tot
-                    rin[w].add(z)
-                elif w in row:
+            bz = row.pop(y)
+            gz = gens.get(z)  # None for a tracked row, which is never a pivot
+            kz = gz.key if gz else self.tracks[z].key
+            rewritten += [(z, w) for w, _, _, q in outs if gz and q == gz.rawq - 1]
+            for w, cw, kw, _ in outs:
+                m = row.get(w)
+                if m is None:
+                    m = compose(cw, bz, memo, kz, kw, {}, scale)
+                    if m:
+                        row[w] = m
+                        rin[w].add(z)
+                elif not compose(cw, bz, memo, kz, kw, m, scale):
                     del row[w]
                     rin[w].discard(z)
-        for z, _ in ins:
-            self._del_entry(z, y)
-        for w, _, _ in outs:
-            self._del_entry(x, w)
-        self._del_entry(x, y)
-        for w in list(self.rin.get(x, set())):
-            self._del_entry(w, x)
-        for z in list(self.d.get(y, {})):
-            self._del_entry(y, z)
-        del self.gens[x]
-        del self.gens[y]
-        return [(z, w) for z, _ in ins for w, _, _ in outs]
+            if not row:
+                del d[z]
+        for w, *_ in outs:
+            col = rin[w]
+            col.discard(x)
+            if not col:
+                del rin[w]
+        for w in rin.pop(x, ()):
+            row = d[w]
+            del row[x]
+            if not row:
+                del d[w]
+        for z in d.pop(y, ()):
+            col = rin[z]
+            col.discard(y)
+            if not col:
+                del rin[z]
+        del gens[x], gens[y]
+        return rewritten
 
     def _cost(self, x: int, y: int) -> int:
         """Compositions that cancelling (x, y) makes."""
@@ -739,15 +770,21 @@ class _Scan:
 
         An entry's iso test reads only its morphism and the rawq and side
         of its two ends, which never change, so an entry turns iso only
-        when an elimination rewrites it, as eliminate_cheapest assumes.
+        when an elimination rewrites it, as eliminate_cheapest assumes.  Only
+        an entry into a rawq one below its source's can be iso, so the first
+        scan here and _eliminate's rewritten pairs test no other.
         """
-        d, iso = self.d, self._iso_scalar
+        d, iso, gens = self.d, self._iso_scalar, self.gens
 
         def pivot(x: int, y: int):
-            m = d.get(x, {}).get(y)
+            row = d.get(x)
+            m = row and row.get(y)
             return None if m is None else iso(x, y, m)
 
-        pivots = [(x, y) for x, row in d.items() for y, m in row.items() if iso(x, y, m)]
+        pivots = [
+            (x, y) for x, row in d.items() if x in gens
+            for y, m in row.items() if gens[y].rawq == gens[x].rawq - 1 and iso(x, y, m)
+        ]
         eliminate_cheapest(
             pivots, pivot, self._cost, lambda x, y, u: self._eliminate(x, y, u, memo)
         )

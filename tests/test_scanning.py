@@ -347,6 +347,54 @@ def test_cheapest_first_makes_fewer_compositions(monkeypatch):
     assert (n_cheap, dim_cheap) == (n_sweep, dim_sweep)
 
 
+def test_the_cable_scan_does_the_pinned_work(monkeypatch):
+    # the Khovanov mod 3 scan of the 2-cable of T(2,-7) makes exactly these
+    # surface calls: a change to how entries are stored or edited must not
+    # change which compositions and caps the elimination sequence needs
+    counts = {"compose": 0, "mor_cap": 0}
+
+    def counted(name):
+        fn = getattr(scanning, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(scanning, name, counted(name))
+    D = braid_closure(cable_word(BraidWord(2, (-1,) * 7), 2))
+    res = scan_complex(D, khovanov(3))
+    assert counts == {"compose": 22104, "mor_cap": 45998}
+    assert (res.complex.dim, res.girth) == (70, 8)
+
+
+def test_rin_stays_the_transpose_of_d(monkeypatch):
+    # after every attach, rin[y] is exactly the set of rows with an entry at
+    # y, no row, column or morphism is empty, and every key is a live
+    # generator or a tracked row's ref
+    attach = scanning._Scan.attach
+    checked = []
+
+    def checked_attach(self, *args, **kwargs):
+        attach(self, *args, **kwargs)
+        keys = set(self.gens) | set(self.tracks)
+        transpose = {}
+        for x, row in self.d.items():
+            assert x in keys and row
+            for y, m in row.items():
+                assert y in self.gens and m
+                transpose.setdefault(y, set()).add(x)
+        assert self.rin == transpose
+        checked.append(self)
+
+    monkeypatch.setattr(scanning._Scan, "attach", checked_attach)
+    for D, th, kw in seeded_scans(5003, 4):
+        scan_complex(D, th, **kw)
+    assert len(checked) > 100
+
+
 # every table the memo has, so a table added or dropped is covered too
 TABLES = tuple(name for name in vars(scanning._SurfaceMemo(khovanov(3))) if name != "th")
 

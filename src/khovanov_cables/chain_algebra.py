@@ -270,7 +270,13 @@ class ScalarComplex:
         return cx
 
     def copy(self) -> "ScalarComplex":
-        return self.restrict(self.grading)
+        """The same complex, ids and order kept, sharing no column or row."""
+        cx = ScalarComplex(self.p, self.q_exact)
+        cx.grading = dict(self.grading)
+        cx.cols = {g: dict(col) for g, col in self.cols.items()}
+        cx.rows = {g: dict(row) for g, row in self.rows.items()}
+        cx._next_id = self._next_id
+        return cx
 
     # inspection
 

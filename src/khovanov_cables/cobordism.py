@@ -24,7 +24,7 @@ from .chain_algebra import (
 from .cube import CubeComplex
 from .diagrams import LinkDiagram
 from .frobenius import Theory
-from .scanning import scan_complex
+from .scanning import ScanResult, scan_complex
 
 
 def theory_label(t: Theory) -> str:
@@ -112,7 +112,11 @@ def cone_over_crossing(
     smoothing's side, so the sub and quotient blocks come out already
     reduced.  Scales to diagrams far beyond the full cube."""
     _crossing_ok(D, cid)
-    res = scan_complex(D, theory, flips=flips, split_at=cid)
+    return split_cone(theory, scan_complex(D, theory, flips=flips, split_at=cid))
+
+
+def split_cone(theory: Theory, res: ScanResult) -> ConeSlices:
+    """The cone of a split scan: its one side is the subcomplex."""
     sub = frozenset(res.split["one"])
     quot = frozenset(res.split["zero"])
     assert sub.isdisjoint(quot)

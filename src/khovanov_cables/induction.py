@@ -28,7 +28,13 @@ neighbour with one tail letter less, the full twist of its framing and
 level); `audit_entry` builds each once for `triangle_facts` and
 `linking_checks`, and keeps nothing across entries but `tables`, which
 holds every audited entry's homology table under its own key, a
-duplicate's included.
+duplicate's included, and one running sweep per level under
+("sweep", level).
+
+Every entry of one level is the closure of a prefix of one braid word,
+that of the level's last entry, so a level is scanned once: a LevelSweep
+runs along the word, and each scanned entry forks it at its prefix and
+closes the fork (Bar-Natan's tangle composition, math/0606318).
 """
 
 from __future__ import annotations
@@ -39,11 +45,11 @@ from dataclasses import dataclass, field
 from .braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from .cabling import alternating_flips, cable_family_diagram, satellite_word
 from .chain_algebra import HomologySpace, induced_matrix, rank
-from .cobordism import cone_over_crossing
+from .cobordism import cone_over_crossing, split_cone
 from .diagrams import LinkDiagram, UnionFind, smoothing_arcs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
-from .scanning import homology_table
+from .scanning import ScanResult, _Scan, greedy_order, homology_table
 
 
 LEE_SCAN_LIMIT = 12
@@ -328,6 +334,73 @@ def _block_degrees(t_sub: dict, n_under: int, level: int, candidates) -> set[int
     return found
 
 
+# -- one sweep per level -------------------------------------------------
+
+
+class LevelSweep:
+    """A running scan along the word of a level's last entry.
+
+    The companion cable's crossings come first, in the greedy order
+    restricted to them (letter order can open far more edges), then the
+    framing twists and pattern rows in letter order.
+    """
+
+    def __init__(self, base: BraidWord, level: int, theory):
+        self.word = entry_word(base, LadderEntry(0, level, 2 * level, 2 * level))
+        self.D, self.columns = braid_closure(self.word, with_columns=True)
+        n_cable = len(base.letters) * strand_width(level) ** 2
+        order, _ = greedy_order(self.D, range(n_cable))
+        self.order = order + list(range(n_cable, len(self.word.letters)))
+        self.scan = _Scan(self.D, theory, [])
+        self.done = 0  # crossings of self.order attached
+
+    def close(self, word: BraidWord, split: bool, D: LinkDiagram) -> ScanResult:
+        """The scan of word's closure D, a prefix of the sweep's word.
+
+        A fork of the sweep at the prefix (less its last letter, with split)
+        joins each column's bottom end to its top end, one column at a
+        time: first the columns the last letter does not touch, then, after
+        attaching that letter split, its two.
+        """
+        k = len(word.letters)
+        assert self.word.letters[:k] == word.letters, "entry is no prefix of the sweep"
+        while self.done < k - split:
+            self.scan.attach(self.order[self.done])
+            self.done += 1
+        bottom = {}
+        for cid, l in enumerate(word.letters):
+            slots = self.D.crossings[cid].slots
+            bottom[abs(l) - 1], bottom[abs(l)] = slots[2][0], slots[3][0]
+        # a column that no later letter touches is closed already
+        ends = {c: (b, self.columns[c][1]) for c, b in bottom.items() if b != self.columns[c][1]}
+        last = {abs(word.letters[-1]) - 1, abs(word.letters[-1])} if k else set()
+        fork = self.scan.fork()
+        for c in sorted(ends.keys() - last):
+            fork.join([ends[c]])
+        if split:
+            fork.attach(k - 1, split=True)
+        for c in sorted(ends.keys() & last):
+            fork.join([ends[c]])
+        return fork.finish(D, frozenset())
+
+
+def _sweep_scan(base: BraidWord, e: LadderEntry, word: BraidWord, D: LinkDiagram, tables: dict, theory):
+    """The entry's scan, split at its last letter when it has a tail, from
+    its level's sweep in tables.  A fresh sweep starts when the running one
+    does not hold word or has passed its prefix; one that reaches the end
+    of its word is dropped."""
+    key = ("sweep", e.level)
+    sweep = tables.get(key)
+    k = len(word.letters)
+    split = e.tail >= 1
+    if sweep is None or sweep.word.letters[:k] != word.letters or sweep.done > k - split:
+        sweep = tables[key] = LevelSweep(base, e.level, theory)
+    res = sweep.close(word, split, D)
+    if k == len(sweep.word.letters):
+        del tables[key]
+    return res
+
+
 # -- per-entry audit -----------------------------------------------------
 
 
@@ -449,9 +522,10 @@ def audit_entry(
         )
 
     th = khovanov(3)
+    res = _sweep_scan(base, e, word, D, tables, th)
     if e.tail >= 1:
         cid = max(D.crossings)
-        cone = cone_over_crossing(D, th, cid)
+        cone = split_cone(th, res)
         t_sub = cone.sub_complex().homology_dims()
         t_quot = cone.quot_complex().homology_dims()
         dims = cone.cx.homology_dims()
@@ -498,7 +572,7 @@ def audit_entry(
                 )
                 break
     else:
-        dims = homology_table(D, th)
+        dims = res.complex.homology_dims()
 
     hs = sorted({h for (h, _) in dims})
     vanishing_ok = not hs or hs[-1] <= top

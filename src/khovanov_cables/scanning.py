@@ -36,6 +36,13 @@ keep their parent's side.  From that attach on, elimination cancels only
 entries between generators on the same side, which keeps the one side a
 subcomplex and the zero side the quotient.
 
+A scan can be forked into a copy that shares no row, column or morphism
+with it, so both go on alone.  A join attaches crossingless arcs between
+open edges, lifted, delooped and eliminated like a crossing; joining a braid
+tangle's bottom ends to its top ends closes it.  So one sweep along a braid
+word, forked and closed at each prefix, scans the closure of every prefix;
+finish takes the grading shifts and free loops from the closed diagram.
+
 Elimination cancels the cheapest iso entry (x, y) first: the one whose
 cancellation makes the fewest compositions, (entries into y - 1) times
 (entries out of x - 1), as Bar-Natan's local Gaussian elimination does to
@@ -69,7 +76,8 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Sequence
 
@@ -434,7 +442,13 @@ def scan_order(D: LinkDiagram) -> tuple[list, int]:
     Returns (order, girth): girth is the largest number of simultaneously
     open edges along the order.
     """
-    remaining = set(D.crossings)
+    return greedy_order(D, D.crossings)
+
+
+def greedy_order(D: LinkDiagram, crossings) -> tuple[list, int]:
+    """scan_order over the given crossings of D only; an edge to a crossing
+    left out stays open."""
+    remaining = set(crossings)
     scanned: set = set()
     open_edges: set = set()
     order: list = []
@@ -535,13 +549,24 @@ class _Scan:
         self.gens[gid] = _Gen(matching, rawh, rawq, circles, key, side)
         return gid
 
+    def fork(self) -> "_Scan":
+        """A copy that shares no row, column or morphism with this scan,
+        so either can go on alone: elimination adds into morphisms in place."""
+        sc = copy.copy(self)
+        sc.gens = dict(self.gens)
+        sc.d = {x: {y: dict(m) for y, m in row.items()} for x, row in self.d.items()}
+        sc.rin = {y: set(xs) for y, xs in self.rin.items()}
+        sc.open, sc.scanned = set(self.open), set(self.scanned)
+        sc.tracks = {ref: replace(tr) for ref, tr in self.tracks.items()}
+        return sc
+
     def _set_entry(self, x: int, y: int, m: Morphism) -> None:
         if not m:
             return
         self.d.setdefault(x, {})[y] = m
         self.rin.setdefault(y, set()).add(x)
 
-    # -- attaching one crossing
+    # -- attaching one crossing, or closing open ends
 
     def attach(self, cid: int, split: bool = False):
         """Attach one crossing, deloop and eliminate.
@@ -549,32 +574,52 @@ class _Scan:
         With split, every new generator records its smoothing at cid as its
         side; otherwise it keeps the side of the generator it came from.
         """
-        D, th, p = self.D, self.th, self.p
-        memo = _SurfaceMemo(th)
-        cr = D.crossings[cid]
+        cr = self.D.crossings[cid]
         slot_edges = [cr.slots[s][0] for s in range(4)]
-        arcs_by_eps = {eps: smoothing_arcs(cr, eps) for eps in (0, 1)}
         self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
+        smoothings = [smoothing_arcs(cr, eps) for eps in (0, 1)]
+        self._lift_through(cid, smoothings, set(slot_edges) - self_edges, 1 - len(self_edges), split)
+        self.girth = max(self.girth, _scan_past(self.D, cid, self.scanned, self.open))
+
+    def join(self, arcs: Sequence[tuple]) -> None:
+        """Join open edges in pairs by crossingless arcs, deloop and
+        eliminate.  Joining a tangle's bottom ends to its top ends closes it."""
+        assert not self.tracks, "a tracked row has no reference tangle past a join"
+        edges = {e for arc in arcs for e in arc}
+        assert edges <= self.open, "a join arc ends on an edge that is not open"
+        self._lift_through(0, [arcs], edges, 0, False)
+        self.open -= edges
+
+    def _lift_through(self, cid: int, smoothings: list, edges: set, saddle_chi: int, split: bool):
+        """Rewire every generator through each smoothing's arcs (two for a
+        crossing, joined by a saddle of Euler characteristic saddle_chi; one
+        for a join), lift the rows, deloop and eliminate.  cid names the
+        circles the arcs close."""
+        th, p = self.th, self.p
+        memo = _SurfaceMemo(th)
         glue = new = 0
-        for e in set(slot_edges) - self_edges:
+        for e in edges:
             if e in self.open:
                 glue |= 1 << e
             else:
                 new |= 1 << e
 
         def rewired(g: _Gen) -> tuple:
-            """Per eps (matching, steps, circles, key), then the saddle (pt, c0)."""
+            """Per smoothing (matching, steps, circles, key), then the saddle
+            (pt, c0) of a crossing."""
             hit = memo.rewired.get(g.key)
             if hit is None:
                 sides = []
-                for eps in (0, 1):
-                    M2, steps = _rewire(g.matching, arcs_by_eps[eps], cid)
+                for arcs in smoothings:
+                    M2, steps = _rewire(g.matching, arcs, cid)
                     circ = tuple(c for _, _, c in steps if c)
                     sides.append((M2, steps, circ, _matching_key(M2)))
-                saddle = (1 - len(self_edges), glue, new, sum(sides[0][2]), sum(sides[1][2]))
-                working = _apply_piece(_identity_parts(g.matching), saddle, th)
-                cycles = memo.cycles_of(sides[0][3], sides[1][3])
-                hit = memo.rewired[g.key] = (*sides, _rebuild(working, memo, cycles))
+                saddle = None
+                if len(sides) == 2:
+                    piece = (saddle_chi, glue, new, sum(sides[0][2]), sum(sides[1][2]))
+                    working = _apply_piece(_identity_parts(g.matching), piece, th)
+                    saddle = _rebuild(working, memo, memo.cycles_of(sides[0][3], sides[1][3]))
+                hit = memo.rewired[g.key] = (*sides, saddle)
             return hit
 
         def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
@@ -596,7 +641,7 @@ class _Scan:
             g = old_gens[gid]
             newid[gid] = tuple(
                 self._new_gen(M2, g.rawh + eps, g.rawq, circ, key, eps if split else g.side)
-                for eps, (M2, _, circ, key) in enumerate(rewired(g)[:2])
+                for eps, (M2, _, circ, key) in enumerate(rewired(g)[:-1])
             )
 
         # a tracked row follows its orientation's smoothing, from the
@@ -609,12 +654,12 @@ class _Scan:
             # an arc that closes a circle lies on it, and so do its edges
             caps = [
                 (circle, tr.labels_by_eid[ea])
-                for (_, _, circle), (ea, _) in zip(steps, arcs_by_eps[eps])
+                for (_, _, circle), (ea, _) in zip(steps, smoothings[eps])
                 if circle
             ]
             refs[tr.ref] = (g_ref, eps, caps)
 
-        # a row lifts to its eps = 0 and 1 children's; a tracked row keeps its ref
+        # a row lifts to its children's; a tracked row keeps its ref
         old_d, d, rin, lifts = self.d, {}, {}, memo.lifts
         self.d, self.rin = d, rin
         for x, row in old_d.items():
@@ -639,13 +684,12 @@ class _Scan:
                 if out:
                     d[x2] = out
 
-        for gid in sorted(old_gens):
-            sign = 1 if old_gens[gid].rawh % 2 == 0 else p - 1
-            pt, c0 = rewired(old_gens[gid])[2]
-            if pt is not None:
-                self._set_entry(*newid[gid], {pt: c0 * sign % p})
-
-        self.girth = max(self.girth, _scan_past(D, cid, self.scanned, self.open))
+        if len(smoothings) == 2:  # a crossing's saddle joins the two children
+            for gid in sorted(old_gens):
+                sign = 1 if old_gens[gid].rawh % 2 == 0 else p - 1
+                pt, c0 = rewired(old_gens[gid])[2]
+                if pt is not None:
+                    self._set_entry(*newid[gid], {pt: c0 * sign % p})
 
         self._deloop_all(memo)
         self._eliminate_all(memo)
@@ -791,8 +835,10 @@ class _Scan:
 
     # -- export
 
-    def finish(self, flips: frozenset) -> ScanResult:
-        D, th, p = self.D, self.th, self.p
+    def finish(self, D: LinkDiagram, flips: frozenset) -> ScanResult:
+        """Export the closed sweep; D is the closed diagram, which gives the
+        grading shifts of flips and the crossingless loops."""
+        th, p = self.th, self.p
         for g in self.gens.values():
             assert not g.matching and not g.circles
         nplus = D.n_plus(flips)
@@ -883,7 +929,7 @@ def scan_complex(
     sc = _Scan(D, theory, orientations or [])
     for cid in order:
         sc.attach(cid, split=cid == split_at)
-    return sc.finish(flips)
+    return sc.finish(D, flips)
 
 
 def homology_table(D: LinkDiagram, theory: Theory) -> dict:

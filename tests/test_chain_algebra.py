@@ -302,6 +302,19 @@ def test_simplify_preserves_filtered_homology(seed, p):
     assert cx.homology_dims() == expected
 
 
+def test_copy_is_the_whole_restriction_and_shares_no_dict():
+    cx, _ = build_reference_complex(random.Random(7), 3, q_exact=True)
+    cx.simplify(side={g for g in cx.grading if g % 2})  # gaps in the ids, entries left
+    assert any(cx.cols.values())
+    dup, full = cx.copy(), cx.restrict(cx.grading)
+    for name in ("grading", "cols", "rows"):
+        a, b = getattr(dup, name), getattr(full, name)
+        assert a == b and list(a) == list(b) and a is not getattr(cx, name)
+        if name != "grading":
+            assert all(list(a[g]) == list(b[g]) and a[g] is not getattr(cx, name)[g] for g in a)
+    assert (dup.p, dup.q_exact, dup._next_id) == (full.p, full.q_exact, full._next_id)
+
+
 def test_simplify_cancels_the_cheapest_pivot_first():
     # A filtered complex: (a, y) and (b, y) are pivots competing for y, and
     # b -> w jumps q, so it is no pivot.  Cancelling (b, y) composes

@@ -1,5 +1,6 @@
 """The ladder harness: entry bookkeeping, smoothing counts, a small audit."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -7,7 +8,13 @@ import pytest
 
 from khovanov_cables import cobordism, induction, scanning
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid, row_word
+from khovanov_cables.cobordism import cone_over_crossing, split_cone
+from khovanov_cables.frobenius import khovanov
 from khovanov_cables.induction import (
+    LEE_SCAN_LIMIT,
+    LadderEntry,
+    LevelSweep,
+    audit_entry,
     audit_family,
     duplicate_partner,
     entry_word,
@@ -20,6 +27,8 @@ from khovanov_cables.induction import (
 )
 
 UNKNOT = BraidWord(1, ())
+WRITHE_M2 = BraidWord(3, (-1, -2))
+MIRROR_TREFOIL = BraidWord(2, (-1, -1, -1))
 
 
 def test_smoothed_component_count_matches_resolution():
@@ -170,3 +179,93 @@ def test_mirror_trefoil_ladder_at_level_one():
     assert report.ok(), report.problems()
     tails = [r for r in report.skipped() if r.entry.tail >= 1]
     assert tails and all(r.triangle.consistent() for r in tails)
+
+
+# one sweep per ladder level
+
+
+@pytest.mark.parametrize("base, max_level", [(UNKNOT, 2), (WRITHE_M2, 1)], ids=["unknot", "writhe-2"])
+def test_the_level_sweep_reproduces_the_plain_scans(base, max_level):
+    th = khovanov(3)
+    tables: dict = {}
+    compared = 0
+    for e in ladder(base.writhe, max_level):
+        if duplicate_partner(e, base.writhe) is not None:
+            continue
+        D, _ = induction.family_diagram(base, e)
+        res = induction._sweep_scan(base, e, entry_word(base, e), D, tables, th)
+        if e.tail == 0:
+            assert res.complex.homology_dims() == scanning.homology_table(D, th), e.label()
+            continue
+        got, want = split_cone(th, res), cone_over_crossing(D, th, max(D.crossings))
+        for part in ("sub_complex", "quot_complex"):
+            assert getattr(got, part)().homology_dims() == getattr(want, part)().homology_dims()
+        assert got.cx.homology_dims() == want.cx.homology_dims(), e.label()
+        compared += 1
+    assert compared >= 12
+    assert not tables, "a sweep that reached the end of its word is dropped"
+
+
+def _timeless(rec):
+    return dataclasses.replace(rec, seconds=0.0)
+
+
+def test_an_entry_alone_or_out_of_order_gives_its_family_record():
+    tables: dict = {}
+    report = audit_family(WRITHE_M2, "writhe -2 unknot", max_level=1, tables=tables)
+    known = {k: v for k, v in tables.items() if isinstance(k, LadderEntry)}
+    scanned = [r for r in report.records if r.status == "scanned" and r.entry.level == 1]
+    assert len(scanned) > 10
+
+    def audit(e, tables):
+        return _timeless(audit_entry(WRITHE_M2, e, -2, 60, LEE_SCAN_LIMIT, tables))
+
+    fresh = 0
+    for r in scanned[:-1]:
+        assert audit(r.entry, dict(known)) == _timeless(r), r.entry.label()
+        # a sweep that has passed this entry's prefix gives way to a fresh one
+        out_of_order = dict(known)
+        audit(scanned[-2].entry, out_of_order)
+        sweep = out_of_order[("sweep", 1)]
+        passed = sweep.done > len(entry_word(WRITHE_M2, r.entry).letters) - (r.entry.tail >= 1)
+        assert audit(r.entry, out_of_order) == _timeless(r), r.entry.label()
+        assert (out_of_order[("sweep", 1)] is not sweep) == passed
+        fresh += passed
+    assert fresh >= len(scanned) - 3
+
+
+def test_the_sweep_does_the_pinned_work(monkeypatch):
+    # one plain scan per scanned entry made 21 scans and 517 attaches
+    counts = Counter()
+    for name in ("__init__", "attach", "join"):
+        step = getattr(scanning._Scan, name)
+
+        def counted(self, *args, _step=step, _name=name, **kwargs):
+            counts[_name] += 1
+            return _step(self, *args, **kwargs)
+
+        monkeypatch.setattr(scanning._Scan, name, counted)
+    assert audit_family(WRITHE_M2, "writhe -2 unknot", max_level=1).ok()
+    # level 0's sweep, one Lee scan at level 0, and level 1's sweep
+    assert counts == {"__init__": 3, "attach": 57, "join": 53}
+
+
+@pytest.mark.parametrize(
+    "base, level, girth",
+    [(UNKNOT, 2, 10), (WRITHE_M2, 1, 6), (MIRROR_TREFOIL, 1, 12)],
+    ids=["unknot", "writhe-2", "mirror-trefoil"],
+)
+def test_the_sweep_keeps_the_plain_girth(base, level, girth):
+    sweep = LevelSweep(base, level, khovanov(3))
+    scanned, open_edges = set(), set()
+    widths = [scanning._scan_past(sweep.D, cid, scanned, open_edges) for cid in sweep.order]
+    longest, _ = induction.family_diagram(base, LadderEntry(0, level, 2 * level, 2 * level))
+    assert max(widths) == scanning.scan_order(longest)[1] == girth
+
+
+@pytest.mark.parametrize("base, level, girth", [(UNKNOT, 2, 10), (WRITHE_M2, 1, 6)], ids=["unknot", "writhe-2"])
+def test_the_longest_fork_reaches_the_plain_girth(base, level, girth):
+    e = LadderEntry(0, level, 2 * level, 2 * level)
+    D, _ = induction.family_diagram(base, e)
+    res = induction._sweep_scan(base, e, entry_word(base, e), D, {}, khovanov(3))
+    assert res.girth == girth

@@ -1,5 +1,6 @@
 """Sweep engine against the state-cube oracle, then past its reach."""
 
+import copy
 import itertools
 import random
 import weakref
@@ -15,7 +16,7 @@ from khovanov_cables.frobenius import (
     khovanov,
     lee_deformation,
 )
-from khovanov_cables.induction import LadderEntry, family_diagram
+from khovanov_cables.induction import LadderEntry, LevelSweep, audit_family, entry_word, family_diagram
 from khovanov_cables.scanning import homology_table, scan_complex, scan_order
 
 THEORIES = [
@@ -221,6 +222,32 @@ def test_disjoint_union_and_loops_through_the_sweep():
     assert homology_table(lone, th) == CubeComplex(lone, th).cx.homology_dims()
 
 
+def test_a_fork_leaves_its_parent_unchanged():
+    D = braid_closure(BraidWord(3, (1, -2, 1, -2, 1, 1)))
+    th = khovanov(3)
+    order, _ = scan_order(D)
+    sc = scanning._Scan(D, th, [])
+    for cid in order[:3]:
+        sc.attach(cid)
+    before = copy.deepcopy((sc.gens, sc.d, sc.rin, sc.open, sc.scanned, sc.girth))
+    fork = sc.fork()
+    for row in fork.d.values():
+        for m in row.values():
+            m[frozenset()] = 1  # elimination adds into morphisms in place
+    for col in fork.rin.values():
+        col.add(-1)
+    fork.open.add(-1)
+    fork = sc.fork()
+    for cid in order[3:]:
+        fork.attach(cid)
+    assert copy.deepcopy((sc.gens, sc.d, sc.rin, sc.open, sc.scanned, sc.girth)) == before
+    for cid in order[3:]:
+        sc.attach(cid)
+    want = homology_table(D, th)
+    assert sc.finish(D, frozenset()).complex.homology_dims() == want
+    assert fork.finish(D, frozenset()).complex.homology_dims() == want
+
+
 # elimination order and the per-attach surface memo
 
 
@@ -370,15 +397,25 @@ def test_the_cable_scan_does_the_pinned_work(monkeypatch):
     assert (res.complex.dim, res.girth) == (70, 8)
 
 
+def check_after(monkeypatch, check):
+    """Run check(scan) after every attach and every join."""
+    for name in ("attach", "join"):
+        step = getattr(scanning._Scan, name)
+
+        def checked(self, *args, _step=step, **kwargs):
+            _step(self, *args, **kwargs)
+            check(self)
+
+        monkeypatch.setattr(scanning._Scan, name, checked)
+
+
 def test_rin_stays_the_transpose_of_d(monkeypatch):
-    # after every attach, rin[y] is exactly the set of rows with an entry at
-    # y, no row, column or morphism is empty, and every key is a live
-    # generator or a tracked row's ref
-    attach = scanning._Scan.attach
+    # after every attach and join, rin[y] is exactly the set of rows with an
+    # entry at y, no row, column or morphism is empty, and every key is a
+    # live generator or a tracked row's ref
     checked = []
 
-    def checked_attach(self, *args, **kwargs):
-        attach(self, *args, **kwargs)
+    def check(self):
         keys = set(self.gens) | set(self.tracks)
         transpose = {}
         for x, row in self.d.items():
@@ -389,10 +426,14 @@ def test_rin_stays_the_transpose_of_d(monkeypatch):
         assert self.rin == transpose
         checked.append(self)
 
-    monkeypatch.setattr(scanning._Scan, "attach", checked_attach)
+    check_after(monkeypatch, check)
     for D, th, kw in seeded_scans(5003, 4):
         scan_complex(D, th, **kw)
     assert len(checked) > 100
+    # the writhe -2 unknot's level sweep closes each entry by joins
+    checked.clear()
+    assert audit_family(BraidWord(3, (-1, -2)), "writhe -2 unknot", max_level=1).ok()
+    assert len(checked) == 57 + 53
 
 
 # every table the memo has, so a table added or dropped is covered too
@@ -445,20 +486,25 @@ def test_memo_is_dropped_when_attach_returns(monkeypatch):
                 setattr(self, name, TrackedTable())
             alive.extend(weakref.ref(obj) for obj in (self, *(getattr(self, n) for n in TABLES)))
 
-    attach = scanning._Scan.attach
     attached = []
 
-    def checked(self, *args, **kwargs):
-        attach(self, *args, **kwargs)
+    def check(self):
         attached.append(self)
         assert alive and not [r for r in alive if r() is not None]
 
     monkeypatch.setattr(scanning, "_SurfaceMemo", TrackedMemo)
-    monkeypatch.setattr(scanning._Scan, "attach", checked)
+    check_after(monkeypatch, check)
     D = braid_closure(BraidWord(2, (1, 1, 1)))
     res = scan_complex(D, lee_deformation(3), orientations=[frozenset()], split_at=min(D.crossings))
     assert res.cycles and len(attached) == len(D.crossings)
-    assert len(alive) == (1 + len(TABLES)) * len(D.crossings)
+    # a level sweep's fork closes its entry by one join per open column:
+    # only the three box columns are touched again after the entry's word
+    base, e = BraidWord(3, (-1, -2)), LadderEntry(-2, 1, 0, 1)
+    D_e, _ = family_diagram(base, e)
+    sweep = LevelSweep(base, 1, khovanov(3))
+    sweep.close(entry_word(base, e), True, D_e)
+    assert len(attached) == len(D.crossings) + len(D_e.crossings) + 3
+    assert len(alive) == (1 + len(TABLES)) * len(attached)
     assert not [r for r in alive if r() is not None]
 
 

@@ -101,18 +101,13 @@ def _crossing_ok(D: LinkDiagram, cid: int) -> None:
         raise ValueError(f"crossing {cid} is not in the diagram")
 
 
-def cone_over_crossing(
-    D: LinkDiagram,
-    theory: Theory,
-    cid: int,
-    flips: frozenset[int] = frozenset(),
-) -> ConeSlices:
+def cone_over_crossing(D: LinkDiagram, theory: Theory, cid: int) -> ConeSlices:
     """Scan the diagram, splitting it at `cid`, and package the result as
     a cone.  From the attach of `cid` on, elimination stays within each
     smoothing's side, so the sub and quotient blocks come out already
     reduced.  Scales to diagrams far beyond the full cube."""
     _crossing_ok(D, cid)
-    return split_cone(theory, scan_complex(D, theory, flips=flips, split_at=cid))
+    return split_cone(theory, scan_complex(D, theory, split_at=cid))
 
 
 def split_cone(theory: Theory, res: ScanResult) -> ConeSlices:
@@ -126,19 +121,17 @@ def split_cone(theory: Theory, res: ScanResult) -> ConeSlices:
     return cone
 
 
-def cone_from_cube(
-    D: LinkDiagram,
-    theory: Theory,
-    cid: int,
-    flips: frozenset[int] = frozenset(),
-) -> ConeSlices:
+def cone_from_cube(D: LinkDiagram, theory: Theory, cid: int) -> ConeSlices:
     """Cube-route cone for small diagrams; mainly a cross-check."""
     _crossing_ok(D, cid)
-    cube = CubeComplex(D, theory, flips)
+    cube = CubeComplex(D, theory)
     i = cube.cids.index(cid)
-    sub = frozenset(g for (bits, _), g in cube.gid.items() if bits[i] == 1)
-    quot = frozenset(g for (bits, _), g in cube.gid.items() if bits[i] == 0)
-    return ConeSlices(theory, cube.cx, sub, quot)
+    sub: set[int] = set()
+    quot: set[int] = set()
+    for bits, circles in cube.circles.items():
+        start = cube.first[bits]
+        (sub if bits[i] else quot).update(range(start, start + (1 << len(circles))))
+    return ConeSlices(theory, cube.cx, frozenset(sub), frozenset(quot))
 
 
 # -- the long exact sequence of a cone -----------------------------------

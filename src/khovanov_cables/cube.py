@@ -9,10 +9,11 @@ deformed homology classes of oriented resolutions: `canonical_cycle`
 takes an orientation as component flips.
 
 Generator ids are laid out by state: each state's generators take
-consecutive ids from the state's first id, in the order of their labels
-read as binary numbers.  The edge maps find a target generator by that
-offset arithmetic, with each state's circle positions computed once; gid
-keeps the (state, labels) -> id table for the callers that look one up.
+consecutive ids from the state's first id, `first[state]`, in the order
+of their labels read as binary numbers, so a generator's id is its
+state's first id plus its labels' offset.  The edge maps and
+`canonical_cycle` find a generator by that offset arithmetic, with each
+state's circle positions computed once.
 The edge pairs that each crossing's two smoothings join are read once, and
 every state's circles are built from them.
 """
@@ -27,7 +28,6 @@ from .frobenius import Theory
 from .planar import Circle, ResolvedState, circles_of_arcs
 
 State = tuple[int, ...]
-GenKey = tuple[State, tuple[int, ...]]
 
 
 def _circle_key(c: Circle):
@@ -66,19 +66,19 @@ class CubeComplex:
             self.circles[bits] = circles_of_arcs(D, state_arcs)
 
         self.cx = ScalarComplex(theory.p, q_exact=theory.q_exact)
-        self.gid: dict[GenKey, int] = {}
-        first: dict[State, int] = {}
+        # first[state]: the id of the state's first generator
+        self.first: dict[State, int] = {}
         for bits, circles in self.circles.items():
-            first[bits] = len(self.gid)
+            self.first[bits] = start = self.cx.dim
             w = sum(bits)
             for labels in product((0, 1), repeat=len(circles)):
                 deg = len(labels) - 2 * sum(labels)
                 h = w - n_minus
                 q = deg + w + n_plus - 2 * n_minus
-                self.gid[(bits, labels)] = self.cx.add_generator(h, q)
-        assert all(
-            g == first[bits] + _offset(labels) for (bits, labels), g in self.gid.items()
-        ), "generator ids must run through each state's labels in binary order"
+                g = self.cx.add_generator(h, q)
+                assert g == start + _offset(labels), (
+                    "generator ids must run through each state's labels in binary order"
+                )
 
         index = {
             bits: {_circle_key(c): k for k, c in enumerate(circles)}
@@ -87,14 +87,14 @@ class CubeComplex:
         for bits in self.circles:
             for i in range(n):
                 if not bits[i]:
-                    self._add_edge_maps(bits, i, index, first)
+                    self._add_edge_maps(bits, i, index)
 
-    def _add_edge_maps(self, bits: State, i: int, index: dict, first: dict) -> None:
+    def _add_edge_maps(self, bits: State, i: int, index: dict) -> None:
         """Entries of the edge from bits to bits with crossing i set to 1.
 
-        index maps each state to its circle-key -> position map, first to
-        its first generator id.  Circle k of a state with n circles is bit
-        n - 1 - k of a generator's offset from that id.
+        index maps each state to its circle-key -> position map.  Circle k
+        of a state with n circles is bit n - 1 - k of a generator's offset
+        from the state's first id.
         """
         th = self.theory
         tbits = bits[:i] + (1,) + bits[i + 1 :]
@@ -122,10 +122,10 @@ class CubeComplex:
             mask = 1 << a
         # spread[off]: the target state's first id plus the bits that the
         # carried circles of source offset off keep
-        spread = [first[tbits]]
+        spread = [self.first[tbits]]
         for step in steps:
             spread = [t + bit for t in spread for bit in (0, step)]
-        src0 = first[bits]
+        src0 = self.first[bits]
         for off, t in enumerate(spread):
             for dt, c in terms[off & mask]:
                 self.cx.add_entry(src0 + off, t + dt, c)
@@ -154,5 +154,5 @@ class CubeComplex:
             for lab, bit in zip(labels, choice):
                 coeff = (coeff * lab[bit]) % th.p
             if coeff:
-                vec[self.gid[(bits, choice)]] = coeff
+                vec[self.first[bits] + _offset(choice)] = coeff
         return vec

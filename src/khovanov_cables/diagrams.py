@@ -18,9 +18,18 @@ the diagram also records placement data: for every edged piece, a dart
 whose left side is the piece's own unbounded region, and a host dart
 locating the piece inside the rest of the diagram (None = outer face).
 Crossing-free loops carry a handedness bit and a host dart; loops never
-contain any other part of the diagram. Edits carry existing placement
-darts only through `LinkDiagram._move_darts`; `_dart_map` turns an edit's
-edge map into the darts it moves.
+contain any other part of the diagram.
+
+Five edits return a new diagram and leave the source as it is: `mirror`
+(switch every crossing), `reverse_all` (reverse every component),
+`disjoint_union` (place another diagram beside this one), `with_free_loop`
+(add a crossing-free circle) and `add_kink` (insert a one-crossing curl).
+They carry existing placement darts only through
+`LinkDiagram._move_darts`; `_dart_map` turns an edit's edge map into the
+darts it moves. A crossing's smoothings are never built as diagrams:
+`planar.ResolvedState` reads the circles of a whole state from the
+embedding, and `induction.smoothed_component_count` the components left
+by smoothing one crossing.
 
 A dart is (edge_id, toward): the direction walking toward ends[toward].
 The face "left of" a dart is the face swept counterclockwise into the
@@ -393,114 +402,6 @@ class LinkDiagram:
         D._move_darts({(eid, 0): (e1, 0), (eid, 1): (e1, 1)})
         return D
 
-    # -- one-crossing resolution ------------------------------------------
-
-    def resolve_crossing(
-        self, cid: int, smoothing: int
-    ) -> tuple["LinkDiagram", dict[int, tuple[int, bool]]]:
-        """Smooth one crossing; smoothing 0 joins each under-strand slot to its
-        counterclockwise successor, smoothing 1 to its predecessor.
-
-        Returns the new diagram and an edge map old id -> (new id, reversed).
-        A smoothing pair whose two slots carry the same edge closes that edge
-        into a crossing-free loop; the loop's handedness comes from the old
-        embedding and its host from the surviving smoothing arc. When both
-        pairs degenerate at once the two loops are placed side by side in the
-        outer face (their mutual nesting is not recoverable, and no homology
-        of the result depends on it). Edges that became loops are absent from
-        the returned edge map. Placement darts sitting on a degenerating edge
-        are refused.
-        """
-        from . import planar
-
-        x = self.crossings[cid]
-        pairs = smoothing_pairs(x.over_diag, smoothing)
-
-        D = self.copy()
-        edge_map: dict[int, tuple[int, bool]] = {
-            e: (e, False) for e in self.edges if not self._touches(e, cid)
-        }
-        merged_arc_edges: list[int] = []
-        live_pairs: list[tuple[int, int]] = []
-        curls: list[tuple[tuple[int, int], int]] = []
-        for s_a, s_b in pairs:
-            # crossing slots stay live through merges (new_edge rewrites them)
-            ea, ia = D.crossings[cid].slots[s_a]
-            eb, ib = D.crossings[cid].slots[s_b]
-            assert ea in D.edges and eb in D.edges
-            if ea == eb:
-                curls.append(((s_a, s_b), ea))
-                continue
-            new_eid = _merge_edges(D, ea, ia, eb, ib, edge_map)
-            merged_arc_edges.append(new_eid)
-            live_pairs.append((s_a, s_b))
-        del D.crossings[cid]
-
-        # a chained merge can retire the first arc's id; chase to the live one
-        live_arcs = []
-        for e in merged_arc_edges:
-            while e not in D.edges:
-                e = edge_map[e][0]
-            live_arcs.append(e)
-
-        moved = _dart_map(edge_map)
-        curl_edges = {e for _, e in curls}
-        if curls:
-            # placement darts may not survive on an edge that curls away
-            def curled(d: Dart | None) -> bool:
-                return d is not None and moved.get(d, d)[0] in curl_edges
-
-            dissolving = {
-                root for root, cids in self.pieces().items() if cids == {cid}
-            }
-            if any(curled(lp.host) for lp in self.loops.values()):
-                raise NotImplementedError(
-                    "a loop is hosted on an edge that closes into a loop"
-                )
-            for root, (own, host) in self.piece_data.items():
-                if (curled(own) and root not in dissolving) or curled(host):
-                    raise NotImplementedError(
-                        "placement dart on an edge that closes into a loop"
-                    )
-        D._move_darts(moved)
-
-        if curls:
-            emb = planar.Embedding(self)
-            survivors = [e for e in live_arcs if e not in curl_edges]
-            host_dart = (
-                _arc_dart(self, D, cid, live_pairs[0][1], survivors[0], moved)
-                if survivors
-                else None
-            )
-            for (s_a, _), e in curls:
-                if e in self.edges:
-                    # the smoothing arc seals the sector between the pair's
-                    # slots inside the freed circle; that fixes handedness
-                    sealed = emb.sector(cid, s_a)
-                    ccw = emb.left_face((e, 1)) == sealed
-                else:
-                    # the curl ate a freshly merged arc; the whole circle
-                    # came free and any base direction serves
-                    ccw = True
-                del D.edges[e]
-                D.new_loop(ccw, host_dart)
-
-        _rekey_pieces(D)
-        if len(live_pairs) == 2:
-            _fix_split_placement(self, D, cid, pairs, live_arcs, moved)
-        # the disoriented smoothing leaves clashing edge directions; re-aim
-        # each circle coherently (edge_map's flags absorb the extra flips)
-        _make_coherent(D, edge_map)
-        if curl_edges:
-            edge_map = {
-                k: (e2, r) for k, (e2, r) in edge_map.items() if e2 in D.edges
-            }
-        return D, edge_map
-
-    def _touches(self, eid: int, cid: int) -> bool:
-        e = self.edges[eid]
-        return e.ends[0][0] == cid or e.ends[1][0] == cid
-
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
@@ -550,155 +451,8 @@ def _dart_map(edge_map: dict[int, tuple[int, bool]]) -> dict[Dart, Dart]:
     }
 
 
-def _merge_edges(
-    D: LinkDiagram,
-    ea: int,
-    ia: int,
-    eb: int,
-    ib: int,
-    edge_map: dict[int, tuple[int, bool]],
-) -> int:
-    """Join edge ea (at its end ia) to eb (at end ib); returns the new edge id.
-
-    Keeps ea's direction: the new edge runs from ea's far end toward eb's
-    far end. Records eb's reversal if its direction disagreed.
-    """
-    a_far = D.edges[ea].ends[1 - ia]
-    b_far = D.edges[eb].ends[1 - ib]
-    # direction bookkeeping: coherent if ea ends (head) where the join starts
-    # and eb begins (tail) there, i.e. ia == 1 and ib == 0
-    if ia == 1 and ib == 0:
-        tail, head = a_far, b_far
-        rev_a, rev_b = False, False
-    elif ia == 0 and ib == 1:
-        tail, head = b_far, a_far
-        rev_a, rev_b = False, False
-    elif ia == 1 and ib == 1:
-        tail, head = a_far, b_far
-        rev_a, rev_b = False, True
-    else:
-        tail, head = a_far, b_far
-        rev_a, rev_b = True, False
-    del D.edges[ea], D.edges[eb]
-    new_eid = D.new_edge(tail, head)
-    for old, (cur, flip) in list(edge_map.items()):
-        if cur == ea:
-            edge_map[old] = (new_eid, flip != rev_a)
-        elif cur == eb:
-            edge_map[old] = (new_eid, flip != rev_b)
-    edge_map.setdefault(ea, (new_eid, rev_a))
-    edge_map.setdefault(eb, (new_eid, rev_b))
-    return new_eid
-
-
-def _rekey_pieces(D: LinkDiagram) -> None:
-    """Key D's moved placement darts by its recomputed pieces."""
-    pc = D.piece_of_crossing()
-    out: dict[int, tuple[Dart, Dart | None]] = {}
-    for own, host in D.piece_data.values():
-        if own[0] in D.edges:
-            out.setdefault(pc[D.edges[own[0]].ends[0][0]], (own, host))
-    for key in D.pieces():
-        if key not in out:
-            # a piece whose recorded dart vanished; give it a provisional
-            # self-dart in the outer face (resolve-split fixes real cases)
-            e0 = min(
-                e for e, x in D.edges.items() if pc[x.ends[0][0]] == key
-            )
-            out[key] = ((e0, 0), None)
-    D.piece_data = out
-
-
-def _fix_split_placement(
-    old: LinkDiagram,
-    D: LinkDiagram,
-    cid: int,
-    pairs: list[tuple[int, int]],
-    live_arcs: list[int],
-    moved: dict[Dart, Dart],
-) -> None:
-    """After smoothing, if the crossing's piece split in two, host the piece
-    that lost the recorded outer dart inside the face the smoothing opened."""
-    pk_old = old.piece_of_crossing()[cid]
-    own_old, _ = old.piece_data[pk_old]
-    pc = D.piece_of_crossing()
-    e_a, e_b = live_arcs
-    key_a = pc[D.edges[e_a].ends[0][0]]
-    key_b = pc[D.edges[e_b].ends[0][0]]
-    if key_a == key_b:
-        return
-    # _rekey_pieces gave the piece that kept the outer dart its old darts
-    own_mapped = moved.get(own_old, own_old)
-    keeper = pc[D.edges[own_mapped[0]].ends[0][0]]
-    if keeper == key_a:
-        orphan, e_keep, e_orph = key_b, e_a, e_b
-        exit_keep, exit_orph = pairs[0][1], pairs[1][1]
-    else:
-        orphan, e_keep, e_orph = key_a, e_b, e_a
-        exit_keep, exit_orph = pairs[1][1], pairs[0][1]
-    # walking a smoothing arc from its pair's first slot toward the second
-    # keeps the face the smoothing opened on the left; that face is the
-    # orphan's outer region and, seen from the keeper arc, contains the orphan
-    D.piece_data[orphan] = (
-        _arc_dart(old, D, cid, exit_orph, e_orph, moved),
-        _arc_dart(old, D, cid, exit_keep, e_keep, moved),
-    )
-
-
-def _make_coherent(D: LinkDiagram, edge_map: dict[int, tuple[int, bool]]) -> None:
-    """Flip edges until every circle of the 4-valent graph runs one way.
-
-    Keeps the direction of the lowest-numbered edge in each circle. Flips
-    are folded into edge_map and into any placement darts on flipped edges
-    (a dart keeps its geometric side when edge and toward flip together).
-    """
-    flipped: set[int] = set()
-    visited: set[int] = set()
-    for start in sorted(D.edges):
-        if start in visited:
-            continue
-        e = start
-        while True:
-            visited.add(e)
-            c, s = D.edges[e].ends[1]
-            e2, idx = D.crossings[c].slots[(s + 2) % 4]
-            if e2 == start:
-                break  # re-entry is via start's remaining end, always the tail
-            assert e2 not in visited, "strand walk revisited an edge"
-            if idx != 0:
-                _flip_edge(D, e2)
-                flipped.add(e2)
-            e = e2
-    if not flipped:
-        return
-    for old, (cur, rev) in edge_map.items():
-        if cur in flipped:
-            edge_map[old] = (cur, not rev)
-    D._move_darts(_dart_map({e: (e, True) for e in flipped}))
-    D._components = None
-
-
 def _flip_edge(D: LinkDiagram, eid: int) -> None:
     t, h = D.edges[eid].ends
     D.edges[eid] = Edge((h, t))
     D.crossings[h[0]].slots[h[1]] = (eid, 0)
     D.crossings[t[0]].slots[t[1]] = (eid, 1)
-
-
-def _arc_dart(
-    old: LinkDiagram,
-    D: LinkDiagram,
-    cid: int,
-    exit_slot: int,
-    merged_eid: int,
-    moved: dict[Dart, Dart],
-) -> Dart:
-    """Dart on a merged smoothing arc heading toward the strand that left the
-    old crossing through `exit_slot` (the second slot of its pair)."""
-    old_eid, old_idx = old.crossings[cid].slots[exit_slot]
-    far = old.edges[old_eid].ends[1 - old_idx]
-    assert moved[(old_eid, 0)][0] == merged_eid
-    for j in (0, 1):
-        if far == D.edges[merged_eid].ends[j]:
-            return (merged_eid, j)
-    raise AssertionError("split arc lost its exit endpoint")

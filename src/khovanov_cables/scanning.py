@@ -77,7 +77,7 @@ algebra.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -551,13 +551,14 @@ class _Scan:
 
     def fork(self) -> "_Scan":
         """A copy that shares no row, column or morphism with this scan,
-        so either can go on alone: elimination adds into morphisms in place."""
+        so either can go on alone: elimination adds into morphisms in place.
+        A fork is closed by joins, which take no tracked row."""
+        assert not self.tracks, "a tracked scan is never forked"
         sc = copy.copy(self)
         sc.gens = dict(self.gens)
         sc.d = {x: {y: dict(m) for y, m in row.items()} for x, row in self.d.items()}
         sc.rin = {y: set(xs) for y, xs in self.rin.items()}
         sc.open, sc.scanned = set(self.open), set(self.scanned)
-        sc.tracks = {ref: replace(tr) for ref, tr in self.tracks.items()}
         return sc
 
     def _set_entry(self, x: int, y: int, m: Morphism) -> None:

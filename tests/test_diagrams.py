@@ -1,4 +1,4 @@
-"""Closure diagrams: structure, orientations, placement, resolutions."""
+"""Closure diagrams: structure, orientations, placement, smoothings."""
 
 from itertools import product
 from random import Random
@@ -16,10 +16,11 @@ from khovanov_cables.braids import (
     random_braid,
     row_word,
 )
+from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
 from khovanov_cables.diagrams import Crossing, oriented_smoothing
 from khovanov_cables.frobenius import khovanov
+from khovanov_cables.induction import translation_match
 from khovanov_cables.lee import s_invariant
-from khovanov_cables.scanning import homology_table
 
 UNKNOT = {(0, -1): 1, (0, 1): 1}
 TWO_CIRCLES = {(0, -2): 1, (0, 0): 2, (0, 2): 1}
@@ -226,22 +227,21 @@ def placed_diagrams():
 
 
 def test_edits_start_from_an_empty_component_cache():
-    # mirror, disjoint union and resolution each edit a fresh copy, which
-    # never carries the source's cache
-    resolved = 0
+    # every edit works on a fresh copy, which never carries the source's cache
+    edits = 0
     for D in placed_diagrams():
         D.components()
-        edited = [D.mirror(), D.disjoint_union(closure(1, 1).with_free_loop())]
-        for c in sorted(D.crossings):
-            for r in (0, 1):
-                try:
-                    edited.append(D.resolve_crossing(c, r)[0])
-                except NotImplementedError:
-                    continue
-                resolved += 1
+        edited = [
+            D.mirror(),
+            D.reverse_all(),
+            D.disjoint_union(closure(1, 1).with_free_loop()),
+            D.with_free_loop(),
+        ]
+        edited += [D.add_kink(e, sign) for e in sorted(D.edges) for sign in (1, -1)]
         for E in edited:
             assert E.components() == E.copy().components()
-    assert resolved > 100
+        edits += len(edited)
+    assert edits > 300
 
 
 def placement(D):
@@ -290,75 +290,30 @@ def test_kinks_carry_placement_darts():
     assert with_loops >= 20 and kinks >= 100
 
 
-# -- resolutions -----------------------------------------------------------
+# -- smoothings as cone blocks --------------------------------------------
 
 
-def test_resolve_trefoil():
-    T = closure(1, 1, 1)
-    c = min(T.crossings)
-    H, em = T.resolve_crossing(c, 0)
-    H.validate()
-    assert H.n_crossings == 2 and len(H.components()) == 2
-    assert H.writhe() == 2  # oriented smoothing leaves the positive Hopf form
-    assert homology_table(H, khovanov(3)) == HOPF
-    U, em = T.resolve_crossing(c, 1)
-    U.validate()
-    assert U.n_crossings == 2 and len(U.components()) == 1
-    assert homology_table(U, khovanov(3)) == UNKNOT
-
-
-def test_resolve_frees_circles():
-    # both smoothings of the one-crossing unknot shed every crossing;
-    # the state with two circles and the state with one both come out
-    # as crossing-free loops now
-    D = closure(1)
+def assert_blocks(D, zero, one):
+    """zero and one are (table, shift) pairs: at D's first crossing, the
+    0-side and 1-side Khovanov tables of both cones are each table moved
+    by its shift."""
     c = min(D.crossings)
-    sizes = set()
-    tables = {}
-    for r in (0, 1):
-        R, em = D.resolve_crossing(c, r)
-        R.validate()
-        assert R.n_crossings == 0 and not R.edges
-        assert not em
-        sizes.add(len(R.loops))
-        tables[r] = homology_table(R, khovanov(3))
-    assert sizes == {1, 2}
-    # the positive kink's oriented smoothing is the 0-smoothing
-    assert tables == {0: TWO_CIRCLES, 1: UNKNOT}
+    for make in (cone_from_cube, cone_over_crossing):
+        cone = make(D, khovanov(3), c)
+        assert translation_match(cone.quot_complex().homology_dims(), zero[0]) == zero[1]
+        assert translation_match(cone.sub_complex().homology_dims(), one[0]) == one[1]
 
 
-def test_resolve_edge_map_is_total():
-    D = closure(1, -2, 1, -2)
-    for c in sorted(D.crossings):
-        for r in (0, 1):
-            try:
-                R, em = D.resolve_crossing(c, r)
-            except NotImplementedError:
-                continue
-            R.validate()
-            assert set(em) >= set(D.edges)
-            for old, (new, rev) in em.items():
-                if old in D.edges:
-                    assert new in R.edges
+def test_trefoil_cone_blocks_are_its_smoothings():
+    # the oriented 0-smoothing leaves the positive Hopf link, the 1-smoothing
+    # a two-crossing unknot
+    assert_blocks(closure(1, 1, 1), (HOPF, (0, 1)), (UNKNOT, (3, 8)))
 
 
-def test_resolve_random_sweep():
-    rng = Random(11)
-    done = refused = 0
-    for _ in range(25):
-        w = random_braid(rng, rng.randint(2, 5), rng.randint(2, 7))
-        D = braid_closure(w)
-        D.validate()
-        for c in sorted(D.crossings):
-            for r in (0, 1):
-                try:
-                    R, _ = D.resolve_crossing(c, r)
-                except NotImplementedError:
-                    refused += 1
-                    continue
-                R.validate()
-                done += 1
-    assert done > 100
+def test_kink_cone_blocks_are_its_smoothings():
+    # both smoothings of the one-crossing unknot shed every crossing: the
+    # 0-smoothing leaves two circles, the 1-smoothing one
+    assert_blocks(closure(1), (TWO_CIRCLES, (0, 1)), (UNKNOT, (1, 2)))
 
 
 # -- resolved-state planar data -------------------------------------------

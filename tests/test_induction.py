@@ -8,8 +8,8 @@ import pytest
 
 from khovanov_cables import cobordism, induction, scanning
 from khovanov_cables.braids import BraidWord, braid_closure, random_braid, row_word
-from khovanov_cables.cobordism import cone_over_crossing, split_cone
-from khovanov_cables.frobenius import khovanov
+from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing, split_cone
+from khovanov_cables.frobenius import khovanov, lee_deformation
 from khovanov_cables.induction import (
     LEE_SCAN_LIMIT,
     LadderEntry,
@@ -31,23 +31,26 @@ WRITHE_M2 = BraidWord(3, (-1, -2))
 MIRROR_TREFOIL = BraidWord(2, (-1, -1, -1))
 
 
-def test_smoothed_component_count_matches_resolution():
+def test_smoothed_component_count_matches_the_cube():
+    # by Lee, a link of c components has Lee homology of rank 2^c, and a
+    # cone's r-side block is the cube of the r-smoothing
     rng = random.Random(2207)
+    diagrams = [
+        braid_closure(random_braid(rng, rng.randint(2, 4), rng.randint(1, 5)))
+        for _ in range(60)
+    ]
+    trefoil = braid_closure(BraidWord(2, (1, 1, 1)))
+    diagrams += [trefoil.with_free_loop(), trefoil.add_kink(min(trefoil.edges), -1)]
+    th = lee_deformation(3)
     compared = 0
-    for _ in range(40):
-        w = random_braid(rng, rng.randint(2, 4), rng.randint(1, 7))
-        D = braid_closure(w)
+    for k, D in enumerate(diagrams):
         for cid in D.crossings:
-            for r in (0, 1):
-                try:
-                    R, _ = D.resolve_crossing(cid, r)
-                except NotImplementedError:
-                    continue
-                assert smoothed_component_count(D, cid, r) == len(
-                    R.components()
-                ), (w.letters, cid, r)
+            cone = cone_from_cube(D, th, cid)
+            for r, block in ((0, cone.quot_complex()), (1, cone.sub_complex())):
+                rank = sum(block.homology_dims().values())
+                assert rank == 2 ** smoothed_component_count(D, cid, r), (k, cid, r)
                 compared += 1
-    assert compared > 200
+    assert compared >= 300
 
 
 @pytest.mark.parametrize("writhe", [0, -1, -3])

@@ -1,6 +1,6 @@
 """Source checks: no shadowed or unused definitions, no module-level caches,
 no dangling console scripts, no numpy at run time, a package map that
-names every module, and one elimination driver."""
+names every module, one elimination driver, and no unimplemented branch."""
 
 import ast
 import os
@@ -103,6 +103,30 @@ def test_one_elimination_driver():
     # so no other module needs a heap
     users = [p.name for p in sorted(SRC.rglob("*.py")) if "heapq" in _imports(p)]
     assert users == ["chain_algebra.py"]
+
+
+def _unimplemented(path):
+    """Lines that name NotImplementedError: a raise, or a handler for one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "NotImplementedError"
+    )
+
+
+def test_no_operation_is_left_unimplemented(tmp_path):
+    # every operation either works or rejects bad input with ValueError
+    found = [u for path in sorted(SRC.rglob("*.py")) for u in _unimplemented(path)]
+    assert not found, found
+    probe = tmp_path / "partial.py"
+    probe.write_text(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise NotImplementedError('curl')\n"
+        "    raise NotImplementedError\n"
+    )
+    assert _unimplemented(probe) == ["partial.py:3", "partial.py:4"]
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

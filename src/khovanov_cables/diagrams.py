@@ -11,7 +11,10 @@ indices. `LinkDiagram.reversed_parts` is the one translation of flips into
 the edges and loops the orientation runs backward; everything downstream
 reads slot directions from those sets through `incoming`, and the oriented
 resolution through `oriented_smoothing`, which also checks that the
-directions are coherent at the crossing.
+directions are coherent at the crossing.  Signs, writhe, n± and linking
+numbers come from the diagram's `CrossingTable`, computed once (and reset
+with the component cache) from each crossing's two components and its
+sign under the base orientation.
 
 Because a rotation system only pins the embedding of each connected piece,
 the diagram also records placement data: for every edged piece, a dart
@@ -39,7 +42,7 @@ walk direction; face traversal turns clockwise at each crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Dart = tuple[int, int]
 End = tuple[int, int]  # (crossing id, slot 0..3)
@@ -72,6 +75,22 @@ class Component:
 
     edges: tuple[int, ...] = ()
     loop: int | None = None
+
+
+class CrossingTable(NamedTuple):
+    """What the signs under every orientation are read from.
+
+    ends maps each crossing to (over component, under component, sign under
+    the base orientation); pairs maps each component pair a <= b to the
+    counts (positive, negative) of its crossings under the base
+    orientation.  Flipping a set of components reverses the sign of exactly
+    the crossings whose two strands lie on one flipped and one kept
+    component, so the pair counts give the writhe, n± and every linking
+    number of any orientation in O(k^2) for k components.
+    """
+
+    ends: dict[int, tuple[int, int, int]]
+    pairs: dict[tuple[int, int], tuple[int, int]]
 
 
 class UnionFind:
@@ -145,6 +164,7 @@ class LinkDiagram:
         self._next_eid = 0
         self._next_lid = 0
         self._components: list[Component] | None = None
+        self._crossing_table: CrossingTable | None = None
 
     # -- low-level construction ------------------------------------------
 
@@ -152,7 +172,7 @@ class LinkDiagram:
         cid = self._next_cid
         self._next_cid += 1
         self.crossings[cid] = Crossing([None] * 4, over_diag)  # type: ignore[list-item]
-        self._components = None
+        self._components = self._crossing_table = None
         return cid
 
     def new_edge(self, tail: End, head: End) -> int:
@@ -161,14 +181,14 @@ class LinkDiagram:
         self.edges[eid] = Edge((tail, head))
         self.crossings[tail[0]].slots[tail[1]] = (eid, 0)
         self.crossings[head[0]].slots[head[1]] = (eid, 1)
-        self._components = None
+        self._components = self._crossing_table = None
         return eid
 
     def new_loop(self, ccw: bool, host: Dart | None) -> int:
         lid = self._next_lid
         self._next_lid += 1
         self.loops[lid] = Loop(ccw, host)
-        self._components = None
+        self._components = self._crossing_table = None
         return lid
 
     def copy(self) -> "LinkDiagram":
@@ -259,6 +279,12 @@ class LinkDiagram:
                 out[comp.loop] = i
         return out
 
+    def _check_flips(self, flips: frozenset[int]) -> None:
+        if not set(flips) <= set(range(len(self.components()))):
+            raise ValueError(
+                f"orientation {sorted(flips)} names a component the diagram lacks"
+            )
+
     def reversed_parts(
         self, flips: frozenset[int]
     ) -> tuple[frozenset[int], frozenset[int]]:
@@ -266,28 +292,58 @@ class LinkDiagram:
 
         Raises ValueError when `flips` names a component the diagram lacks.
         """
-        if not set(flips) <= set(range(len(self.components()))):
-            raise ValueError(
-                f"orientation {sorted(flips)} names a component the diagram lacks"
-            )
+        self._check_flips(flips)
         return (
             frozenset(e for e, k in self.component_of_edge().items() if k in flips),
             frozenset(l for l, k in self.component_of_loop().items() if k in flips),
         )
 
+    def crossing_table(self) -> CrossingTable:
+        """The diagram's CrossingTable, computed once and reset with the
+        component cache."""
+        if self._crossing_table is None:
+            comp = self.component_of_edge()
+            ends: dict[int, tuple[int, int, int]] = {}
+            pairs: dict[tuple[int, int], list[int]] = {}
+            for cid, x in self.crossings.items():
+                over = comp[x.slots[x.over_diag][0]]
+                under = comp[x.slots[(x.over_diag + 1) % 4][0]]
+                sign = 1 - 2 * oriented_smoothing(x, frozenset())
+                ends[cid] = (over, under, sign)
+                pairs.setdefault((min(over, under), max(over, under)), [0, 0])[sign < 0] += 1
+            self._crossing_table = CrossingTable(ends, {k: tuple(v) for k, v in pairs.items()})
+        return self._crossing_table
+
     def signs(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
         """Sign of every crossing under the orientation that reverses the
-        components in `flips`."""
-        return {c: 1 - 2 * r for c, r in self.oriented_smoothings(flips).items()}
+        components in `flips`: reversing exactly one of its two strands
+        reverses a crossing's sign."""
+        self._check_flips(flips)
+        return {
+            c: sign if (over in flips) == (under in flips) else -sign
+            for c, (over, under, sign) in self.crossing_table().ends.items()
+        }
+
+    def _sign_counts(self, flips: frozenset[int]) -> tuple[int, int]:
+        """(n_plus, n_minus) under flips, from the pair counts."""
+        self._check_flips(flips)
+        n_plus = n_minus = 0
+        for (a, b), (pos, neg) in self.crossing_table().pairs.items():
+            if (a in flips) != (b in flips):
+                pos, neg = neg, pos
+            n_plus += pos
+            n_minus += neg
+        return n_plus, n_minus
 
     def writhe(self, flips: frozenset[int] = frozenset()) -> int:
-        return sum(self.signs(flips).values())
+        n_plus, n_minus = self._sign_counts(flips)
+        return n_plus - n_minus
 
     def n_minus(self, flips: frozenset[int] = frozenset()) -> int:
-        return sum(1 for v in self.signs(flips).values() if v < 0)
+        return self._sign_counts(flips)[1]
 
     def n_plus(self, flips: frozenset[int] = frozenset()) -> int:
-        return sum(1 for v in self.signs(flips).values() if v > 0)
+        return self._sign_counts(flips)[0]
 
     def linking_number(
         self,
@@ -297,24 +353,18 @@ class LinkDiagram:
     ) -> int:
         """Total linking number between two disjoint sets of components."""
         assert not (comps_a & comps_b)
-        comp = self.component_of_edge()
-        signs = self.signs(flips)
+        self._check_flips(flips)
         total = 0
-        for cid, x in self.crossings.items():
-            over = comp[x.slots[x.over_diag][0]]
-            under = comp[x.slots[(x.over_diag + 1) % 4][0]]
-            if (over in comps_a and under in comps_b) or (
-                over in comps_b and under in comps_a
-            ):
-                total += signs[cid]
+        for (a, b), (pos, neg) in self.crossing_table().pairs.items():
+            if (a in comps_a and b in comps_b) or (a in comps_b and b in comps_a):
+                total += neg - pos if (a in flips) != (b in flips) else pos - neg
         assert total % 2 == 0
         return total // 2
 
     def oriented_smoothings(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
         """Per crossing, the resolution compatible with the orientation
         (0 for positive crossings, 1 for negative)."""
-        rev_edges, _ = self.reversed_parts(flips)
-        return {c: oriented_smoothing(x, rev_edges) for c, x in self.crossings.items()}
+        return {c: (1 - s) // 2 for c, s in self.signs(flips).items()}
 
     # -- global moves ------------------------------------------------------
 
@@ -396,10 +446,10 @@ class LinkDiagram:
         cid = D.new_crossing(0 if sign == 1 else 1)
         del D.edges[eid]
         e1 = D.new_edge(tail, (cid, 0))
-        e2 = D.new_edge((cid, 3), head)
+        D.new_edge((cid, 3), head)
         D.new_edge((cid, 2), (cid, 1))
         # the curl joins eid's piece, whose key (min crossing id) stays
-        D._move_darts({(eid, 0): (e1, 0), (eid, 1): (e1, 1)})
+        D._move_darts(_dart_map({eid: (e1, False)}))
         return D
 
     # -- validation --------------------------------------------------------

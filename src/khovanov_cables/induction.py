@@ -25,11 +25,14 @@ the pattern is not a full twist.
 
 An entry's audit reads up to three member diagrams (the entry, its
 neighbour with one tail letter less, the full twist of its framing and
-level); `audit_entry` builds each once for `triangle_facts` and
-`linking_checks`, and keeps nothing across entries but `tables`, which
+level); `audit_entry` builds each at most once for `triangle_facts` and
+`linking_checks`, and keeps nothing across entries but `tables`.  That
 holds every audited entry's homology table under its own key, a
-duplicate's included, and one running sweep per level under
-("sweep", level).
+duplicate's included; one running sweep per level under ("sweep",
+level); and under "members" the member diagrams the last entry that
+built any read, keyed by braid word, so the next entry reuses them.
+The members go after the last entry of each framing and level, whose
+members no later entry reads.
 
 Every entry of one level is the closure of a prefix of one braid word,
 that of the level's last entry, so a level is scanned once: a LevelSweep
@@ -478,13 +481,17 @@ def audit_entry(
             problems=tuple(problems), seconds=time.monotonic() - t0,
         )
 
-    # each member this entry reads is built once, and dropped on return
-    built: dict = {}
+    # the members this entry reads, keyed by braid word, replace the last
+    # building entry's, which it reuses: consecutive entries share the
+    # shorter-tail neighbour and the full twist, and word-equal ones share
+    last = tables.get("members", {})
+    built = tables["members"] = {}
 
     def member(entry: LadderEntry):
-        if entry not in built:
-            built[entry] = family_diagram(base, entry)
-        return built[entry]
+        word = entry_word(base, entry)
+        if word not in built:
+            built[word] = last.get(word) or family_diagram(base, entry)
+        return built[word]
 
     D, _ = member(e)
     if len(D.crossings) != crossings:
@@ -514,6 +521,10 @@ def audit_entry(
         if tri.case == "split" and e.full_rows >= 2 * e.level:
             problems.append("split case reached a full-twist pattern")
         problems.extend(linking_checks(e, member))
+    if e.full_rows == e.tail == 2 * e.level:
+        # the last entry of its framing and level: no later entry reads
+        # its members
+        del tables["members"]
 
     if crossings > budget:
         return EntryRecord(

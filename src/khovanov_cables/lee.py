@@ -6,6 +6,11 @@ to the diagram's stored directions) owns a canonical cycle supported on
 its oriented resolution. The collection of these classes spans the
 deformed homology. The s-invariant of an oriented link is the quantum
 filtration level of its own class, plus one.
+
+A class's homology and filtration level live in one homological degree,
+so `canonical_classes` scans only one degree around its orientations'
+expected degrees: `s_invariant` reads degrees -1..1, where its class sits
+in degree 0.  `lee_homology_dims` scans every degree.
 """
 
 from __future__ import annotations
@@ -35,10 +40,14 @@ def canonical_classes(
 ) -> dict[frozenset, CanonicalClass]:
     """Scan once with the given base orientation and report every requested
     orientation's class. Degrees are read off the surviving complex, not
-    from counting arguments, so they double as an engine check."""
+    from counting arguments, so they double as an engine check; the scan
+    keeps the degrees from one below the lowest expected degree to one
+    above the highest, where the classes' degrees and levels survive."""
     th = theory if theory is not None else lee_deformation(3)
     ors = [frozenset(o) for o in orientations]
-    res = scan_complex(D, th, flips=base_flips, orientations=ors)
+    hs = [expected_h_difference(D, base_flips, o) for o in ors]
+    window = (min(hs) - 1, max(hs) + 1) if hs else None
+    res = scan_complex(D, th, flips=base_flips, orientations=ors, degrees=window)
     out = {}
     for o in ors:
         v = res.cycles[o]

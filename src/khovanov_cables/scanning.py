@@ -43,6 +43,23 @@ tangle's bottom ends to its top ends closes it.  So one sweep along a braid
 word, forked and closed at each prefix, scans the closure of every prefix;
 finish takes the grading shifts and free loops from the closed diagram.
 
+A scan can keep only a window of final homological degrees h = rawh -
+n_minus.  The differential raises rawh by exactly one (a saddle goes from
+the 0 child to the 1 child, and an elimination rewrites z -> y, x -> w
+into z -> w with the same step), and attaching a crossing adds 0 or 1 to
+rawh, which never falls.  So the generators whose h is already above hi
+span a subcomplex, and dropping them is a quotient; those that can still
+reach lo with the crossings left to attach span a subcomplex too, and
+keeping only them is a restriction.  Neither changes H_h, nor the
+filtration level of its classes, for lo < h < hi: there the cycles and
+the boundaries of the full complex and of the window are the same.  A
+tracked row sits at the rawh of its reference tangle, so it never points
+at a dropped generator when its class's degree lies in the window.  The
+window is applied after each attach's elimination: every generator that
+can no longer end in it goes, with its row and column.  Dropping only
+after elimination lets the layers just inside the window cancel against
+those just outside first, which keeps them small.
+
 Elimination cancels the cheapest iso entry (x, y) first: the one whose
 cancellation makes the fewest compositions, (entries into y - 1) times
 (entries out of x - 1), as Bar-Natan's local Gaussian elimination does to
@@ -111,7 +128,9 @@ class _SurfaceMemo:
     rewired maps a matching key to what the crossing makes of that
     matching, pieces maps a pair of step tuples to its lifting pieces, and
     lifts maps a (key, key, eps) pair of matchings to its pieces, the
-    cycles of the lifted matchings and a table of lifted partitions.
+    cycles of the lifted matchings and a table of lifted partitions, which
+    lifted keeps per (pieces, cycles) for every pair that shares them: a
+    lifted partition depends on nothing else.
     """
 
     def __init__(self, th: Theory):
@@ -122,6 +141,7 @@ class _SurfaceMemo:
         self.rewired: dict = {}
         self.pieces: dict = {}
         self.lifts: dict = {}
+        self.lifted: dict = {}
 
     def cycles_of(self, ks: frozenset, kt: frozenset) -> tuple:
         hit = self.cycles.get((ks, kt))
@@ -522,7 +542,11 @@ class ScanResult:
 
 
 class _Scan:
-    def __init__(self, D: LinkDiagram, theory: Theory, orientations: Sequence[frozenset]):
+    def __init__(
+        self, D: LinkDiagram, theory: Theory, orientations: Sequence[frozenset], window=None
+    ):
+        """window = (lo, hi) bounds the rawh of the final generators, both
+        ends included; None keeps every generator."""
         self.D = D
         self.th = theory
         self.p = theory.p
@@ -533,6 +557,7 @@ class _Scan:
         self.scanned: set = set()
         self.girth = 0
         self._serial = 0
+        self.window = window
         g0 = self._new_gen({}, 0, 0, (), _matching_key({}))
         self.tracks: dict = {}  # ref id -> _Track
         for flips in orientations:
@@ -595,7 +620,8 @@ class _Scan:
         """Rewire every generator through each smoothing's arcs (two for a
         crossing, joined by a saddle of Euler characteristic saddle_chi; one
         for a join), lift the rows, deloop and eliminate.  cid names the
-        circles the arcs close."""
+        circles the arcs close.  Then every generator that can no longer end
+        in the window goes."""
         th, p = self.th, self.p
         memo = _SurfaceMemo(th)
         glue = new = 0
@@ -625,13 +651,16 @@ class _Scan:
 
         def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
             """(pieces, cycles, table) lifting gx -> gy through smoothing eps,
-            stored in memo.lifts; the table memoizes lifted partitions."""
+            stored in memo.lifts; the table memoizes lifted partitions and is
+            shared by every pair with the same pieces and cycles."""
             sx, sy = rewired(gx)[eps], rewired(gy)[eps]
             steps = (sx[1], sy[1])
             pieces = memo.pieces.get(steps)
             if pieces is None:
                 pieces = memo.pieces[steps] = _lift_pieces(*steps)
-            hit = memo.lifts[(gx.key, gy.key, eps)] = (pieces, memo.cycles_of(sx[3], sy[3]), {})
+            cycles = memo.cycles_of(sx[3], sy[3])
+            table = memo.lifted.setdefault((pieces, cycles), {})
+            hit = memo.lifts[(gx.key, gy.key, eps)] = (pieces, cycles, table)
             return hit
 
         # newid[gid][eps]: the generator that gid's eps smoothing makes
@@ -694,6 +723,29 @@ class _Scan:
 
         self._deloop_all(memo)
         self._eliminate_all(memo)
+        if self.window is not None:
+            # the crossings still to attach after this one can add at most
+            # one each to rawh
+            lo, hi = self.window
+            lo -= len(self.D.crossings) - len(self.scanned) - len(smoothings) // 2
+            self._drop([gid for gid, g in self.gens.items() if not lo <= g.rawh <= hi])
+
+    def _drop(self, gids: list) -> None:
+        """Delete the generators gids with their rows and columns."""
+        d, rin, gens = self.d, self.rin, self.gens
+        for gid in gids:
+            del gens[gid]
+            for z in d.pop(gid, ()):
+                col = rin[z]
+                col.discard(gid)
+                if not col:
+                    del rin[z]
+            for w in rin.pop(gid, ()):
+                assert w not in self.tracks, "a tracked row left the window"
+                row = d[w]
+                del row[gid]
+                if not row:
+                    del d[w]
 
     # -- delooping
 
@@ -911,6 +963,7 @@ def scan_complex(
     flips: frozenset = frozenset(),
     orientations: Sequence[frozenset] | None = None,
     split_at: int | None = None,
+    degrees: tuple[int, int] | None = None,
 ) -> ScanResult:
     """Sweep the diagram and return its reduced complex.
 
@@ -920,14 +973,26 @@ def scan_complex(
     names a crossing whose two smoothings are kept apart from its attach
     on, wherever scan_order puts it: .split lists them, the one side a
     subcomplex and the zero side its quotient, each reduced by elimination
-    on its own.
+    on its own.  degrees = (lo, hi) keeps only the generators that can
+    still end in homological degrees lo..hi: the result's homology, and the
+    filtration level of its classes, are the full complex's in every degree
+    strictly between lo and hi, and only there.
     """
     for o in (flips, *(orientations or [])):
         D.reversed_parts(o)  # raises ValueError before any attach
     if split_at is not None and split_at not in D.crossings:
         raise ValueError(f"crossing {split_at} is not in the diagram")
+    window = None
+    if degrees is not None:
+        if not (
+            isinstance(degrees, (tuple, list)) and len(degrees) == 2
+            and all(isinstance(v, int) for v in degrees) and degrees[0] <= degrees[1]
+        ):
+            raise ValueError(f"degrees {degrees!r} is not a pair of ints lo <= hi")
+        nminus = D.n_minus(flips)
+        window = (degrees[0] + nminus, degrees[1] + nminus)
     order, _ = scan_order(D)
-    sc = _Scan(D, theory, orientations or [])
+    sc = _Scan(D, theory, orientations or [], window)
     for cid in order:
         sc.attach(cid, split=cid == split_at)
     return sc.finish(D, flips)

@@ -180,6 +180,40 @@ def test_signs_writhe_and_linking_under_every_flip_set():
             )
 
 
+def test_crossing_table_agrees_with_a_per_crossing_derivation():
+    # the oracle reads every crossing's smoothing through reversed_parts and
+    # oriented_smoothing, as the signs were derived before the table
+    rng = Random(7215)
+    compared = 0
+    for _ in range(16):
+        D = braid_closure(random_braid(rng, rng.randint(2, 5), rng.randint(1, 10)))
+        if rng.random() < 0.3:
+            D = D.with_free_loop()
+        comp = D.component_of_edge()
+        ends = {
+            c: (comp[x.slots[x.over_diag][0]], comp[x.slots[(x.over_diag + 1) % 4][0]])
+            for c, x in D.crossings.items()
+        }
+        k = len(D.components())
+        for bits in product((0, 1), repeat=k):
+            flips = frozenset(i for i, b in enumerate(bits) if b)
+            rev_edges, _ = D.reversed_parts(flips)
+            smooth = {c: oriented_smoothing(x, rev_edges) for c, x in D.crossings.items()}
+            signs = {c: 1 - 2 * r for c, r in smooth.items()}
+            values = list(signs.values())
+            assert D.signs(flips) == signs
+            assert D.oriented_smoothings(flips) == smooth
+            assert D.writhe(flips) == sum(values)
+            assert (D.n_plus(flips), D.n_minus(flips)) == (values.count(1), values.count(-1))
+            for sub in product((0, 1), repeat=k):
+                a = {i for i, b in enumerate(sub) if b}
+                b = set(range(k)) - a
+                twice = sum(signs[c] for c, (o, u) in ends.items() if (o in a) != (u in a))
+                assert 2 * D.linking_number(a, b, flips) == twice
+                compared += 1
+    assert compared > 200
+
+
 def test_multi_piece_closure():
     # two separated pieces plus two untouched strands
     D = closure(1, 1, 4, 4, strands=6)
@@ -227,10 +261,12 @@ def placed_diagrams():
 
 
 def test_edits_start_from_an_empty_component_cache():
-    # every edit works on a fresh copy, which never carries the source's cache
+    # every edit works on a fresh copy, which never carries the source's
+    # caches: the components and the crossing table
     edits = 0
     for D in placed_diagrams():
         D.components()
+        D.crossing_table()
         edited = [
             D.mirror(),
             D.reverse_all(),
@@ -240,8 +276,15 @@ def test_edits_start_from_an_empty_component_cache():
         edited += [D.add_kink(e, sign) for e in sorted(D.edges) for sign in (1, -1)]
         for E in edited:
             assert E.components() == E.copy().components()
+            assert E.crossing_table() == E.copy().crossing_table()
         edits += len(edited)
     assert edits > 300
+    # each low-level constructor resets both caches
+    D = closure(1, 1)
+    for build in (lambda: D.new_loop(False, None), lambda: D.new_crossing(0)):
+        D.crossing_table()
+        build()
+        assert D._components is None and D._crossing_table is None
 
 
 def placement(D):

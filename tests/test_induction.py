@@ -139,6 +139,7 @@ def test_unknot_slice_drop_is_verified(level):
 
 def test_audit_entry_builds_each_member_once(monkeypatch):
     builds = []
+    every = []
     build = induction.cable_family_diagram
 
     def counted(base, f, m, a=0, i=0):
@@ -146,15 +147,40 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
         return build(base, f, m, a, i)
 
     def check(rec):
-        if rec.entry.level == 1 and rec.entry.tail >= 1:
-            # the entry, its shorter tail and the full twist
-            assert 2 <= len(builds) <= 3, (rec.entry.label(), builds)
-        assert len(builds) == len(set(builds)), (rec.entry.label(), builds)
+        e = rec.entry
+        if e.level == 1 and e.tail >= 1:
+            # the shorter tail and the full twist come from the entry
+            # before: the first tail entry builds the full twist too, and
+            # the full twist builds nothing
+            want = [] if (e.full_rows, e.tail) == (2, 2) else [(0, 1, e.full_rows, e.tail)]
+            if (e.full_rows, e.tail) == (0, 1):
+                want.append((0, 1, 2, 2))
+            assert builds == want, (e.label(), builds)
+        every.extend(builds)
         builds.clear()
 
     monkeypatch.setattr(induction, "cable_family_diagram", counted)
     report = audit_family(UNKNOT, "unknot", max_level=1, progress=check)
     assert report.ok(), report.problems()
+    assert len(every) == len(set(every)) == 8
+
+
+# the paper's companion, -5_2: its closure's Khovanov table is 5_2's Knot
+# Atlas PD as read_pd reads it
+MINUS_5_2 = BraidWord(3, (-1, -1, -1, -2, 1, -2))
+
+
+def test_the_papers_companion_drops_at_level_zero():
+    report = slice_drop_report(MINUS_5_2, "-5_2", 0)
+    assert report.status == "verified", report
+    assert report.s_companion == report.s_cable == report.expected == -2
+
+
+def test_the_mirror_trefoil_drops_at_level_one():
+    # a 51-crossing cable: its Lee scans keep only degrees -1..1
+    report = slice_drop_report(MIRROR_TREFOIL, "mirror trefoil", 1)
+    assert report.status == "verified", report
+    assert (report.crossings, report.s_companion, report.s_cable) == (51, -2, -4)
 
 
 def _occupancy(word, upto):

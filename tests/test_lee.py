@@ -14,6 +14,7 @@ from khovanov_cables.lee import (
     s_invariant,
 )
 from khovanov_cables.pdcodes import knot_5_2
+from khovanov_cables.scanning import scan_complex
 
 
 def all_orientations(D):
@@ -74,6 +75,31 @@ def test_h_gaps_for_bar_natan_theory_too():
     cls = canonical_classes(D, ors, theory=bar_natan_deformation(3))
     for a, b in itertools.product(ors, repeat=2):
         assert cls[b].h - cls[a].h == expected_h_difference(D, a, b)
+
+
+@pytest.mark.parametrize("th", [lee_deformation(3), bar_natan_deformation(3)], ids=["lee", "bar-natan"])
+def test_windowed_classes_match_the_full_scan(th):
+    # canonical_classes scans one degree around the classes it reads; the
+    # full scan here keeps every degree
+    rng = random.Random(5127)
+    compared = 0
+    for _ in range(10):
+        D = braid_closure(random_braid(rng, rng.randint(2, 4), rng.randint(2, 7)))
+        ors = all_orientations(D)
+        base = rng.choice(ors)
+        res = scan_complex(D, th, flips=base, orientations=ors)
+        full = {}
+        for o in ors:
+            v = res.cycles[o]
+            (h,) = {res.complex.grading[g][0] for g in v}
+            full[o] = (h, res.complex.filtration_level(v))
+        together = canonical_classes(D, ors, base_flips=base, theory=th)
+        assert {o: (c.h, c.level) for o, c in together.items()} == full
+        for o in ors:
+            alone = canonical_classes(D, [o], base_flips=base, theory=th)[o]
+            assert (alone.h, alone.level) == full[o], (D.n_crossings, base, o)
+            compared += 1
+    assert compared >= 20
 
 
 def test_lee_dimension_counts_orientations():

@@ -97,6 +97,27 @@ def test_transported_cycles_close_and_match_cube_levels():
                 ), (w.strands, w.letters, th.h, th.t, o)
 
 
+@pytest.mark.parametrize("th", [lee_deformation(3), bar_natan_deformation(3)], ids=["lee", "bar-natan"])
+def test_a_degree_window_keeps_the_homology_strictly_inside_it(th):
+    rng = random.Random(6021)
+    compared = nonzero = 0
+    for _ in range(20):
+        D = braid_closure(random_braid(rng, rng.randint(2, 4), rng.randint(2, 9)))
+        flips = frozenset(c for c in range(len(D.components())) if rng.random() < 0.5)
+        full = scan_complex(D, th, flips).complex
+        dims = full.homology_dims()
+        for lo in range(-D.n_minus(flips) - 1, D.n_plus(flips) + 1):
+            hi = lo + rng.randint(0, 3)
+            cut = scan_complex(D, th, flips, degrees=(lo, hi)).complex
+            assert all(lo <= h <= hi for h, _ in cut.grading.values())
+            inside = cut.homology_dims()
+            for h in range(lo + 1, hi):
+                assert inside.get(h, 0) == dims.get(h, 0), (D.n_crossings, flips, lo, hi, h)
+                compared += 1
+                nonzero += h in dims
+    assert compared > 100 and nonzero > 10
+
+
 def test_deformed_total_dim_counts_orientations():
     rng = random.Random(775)
     for _ in range(10):

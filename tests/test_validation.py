@@ -92,6 +92,9 @@ BAD_INPUT = {
     "row_word-args33": ("row_word", (1, 0, -1)),
     "row_word-args34": ("row_word", (-1, 0, 0)),
     "TRIO.add_kink-args35": ("TRIO.add_kink", (min(TRIO.edges), 2)),
+    "scan_complex-degrees-not-a-pair": ("scan_complex", (TRIO, lee_deformation(3), frozenset(), None, None, (0,))),
+    "scan_complex-degrees-not-ints": ("scan_complex", (TRIO, lee_deformation(3), frozenset(), None, None, (0, 1.5))),
+    "scan_complex-degrees-lo-above-hi": ("scan_complex", (TRIO, lee_deformation(3), frozenset(), None, None, (1, -1))),
     "Matrix-ragged-row": ("Matrix", ([[1, 2], [3]], 2)),
     "solve-row-counts-differ": ("solve", (Matrix([[1]], 1), Matrix([[1], [0]], 1), 3)),
     "product_is_zero-inner-sizes-differ": ("product_is_zero", (Matrix([[1, 1]], 2), Matrix([[1]], 1), 3)),

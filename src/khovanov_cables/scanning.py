@@ -77,8 +77,9 @@ its whole strand boundary, and its boundary circles are the cycles inside
 its points plus its circle bits.  Gluing, lifting and capping are then a few
 bit operations on small ints.
 
-Many generators share one matching: each carries a hashable key of it, and
-one attachment rewires each distinct matching once and builds the lifting
+A matching is held in one form, its key: the frozenset of its (point,
+partner) pairs, both ways round.  Many generators share one, and one
+attachment rewires each distinct matching once and builds the lifting
 pieces once per pair of step tuples.  The surface normalizations of one
 attachment (gluing, capping, lifting and counting boundary cycles) are
 memoized on unit coefficients, and lifting and capping renormalize only the
@@ -94,7 +95,7 @@ algebra.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
@@ -116,20 +117,20 @@ Morphism = dict
 class _SurfaceMemo:
     """Unit-coefficient surface results, shared by the calls of one attach.
 
-    A partition reads through the matchings of its morphism, so every table
-    whose result depends on them has the matching keys in its key.  glued
-    maps (earlier, later, source key, target key) to the composite, capped
-    maps (source bit, target bit, label) to a table from partition to the
-    capped partition (capping keeps the genus, so it needs no matchings),
-    and cycles maps a (source key, target key) pair to the point masks of
-    the cycles of those two matchings.  A caller scales a (partition, c0)
-    result by its own coefficient, which is exact because p is prime and
-    neither factor is zero.  Three more tables serve the attachment itself:
-    rewired maps a matching key to what the crossing makes of that
-    matching, pieces maps a pair of step tuples to its lifting pieces, and
-    lifts maps a (key, key, eps) pair of matchings to its pieces, the
-    cycles of the lifted matchings and a table of lifted partitions, which
-    lifted keeps per (pieces, cycles) for every pair that shares them: a
+    A matching is its key, the frozenset of its (point, partner) pairs.  A
+    partition reads through the matchings of its morphism, so every table
+    whose result depends on them has them in its key.  glued maps (earlier,
+    later, source, target) to the composite, capped maps (source bit,
+    target bit, label) to a table from partition to the capped partition
+    (capping keeps the genus, so it needs no matchings), and cycles maps a
+    (source, target) pair of matchings to the point masks of their cycles.
+    A caller scales a (partition, c0) result by its own coefficient, which
+    is exact because p is prime and neither factor is zero.  Three more
+    tables serve the attachment itself: rewired maps a matching to what the
+    crossing makes of it, pieces maps a pair of step tuples to its lifting
+    pieces, and lifts maps a (matching, matching, eps) triple to its pieces,
+    the cycles of the lifted matchings and a table of lifted partitions,
+    which lifted keeps per (pieces, cycles) for every pair that shares them: a
     lifted partition depends on nothing else.
     """
 
@@ -155,7 +156,7 @@ class _SurfaceMemo:
 
 
 def _cycles(ks: frozenset, kt: frozenset) -> tuple:
-    """Point masks of the cycles that two matchings, by key, make together."""
+    """Point masks of the cycles that two matchings make together."""
     src, tgt = dict(ks), dict(kt)
     out = []
     seen = 0
@@ -346,15 +347,14 @@ def mor_cap(m: Morphism, cs: int, ct: int, cap_label, memo: _SurfaceMemo) -> Mor
 # attaching a crossing: rewiring and surface pieces
 
 
-def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
+def _rewire(key: frozenset, arcs: Sequence[tuple], cid: int):
     """Apply the two smoothing arcs of one crossing to an open matching.
 
-    matching maps every open point to its partner (both directions).
     Returns (new matching, steps): one (glue, new, circle) of bitmasks per
     arc, the open points it consumes, the points it opens and the circle it
     closes (0 if none).
     """
-    M = dict(matching)
+    M = dict(key)
     steps = []
     for k, (ea, eb) in enumerate(arcs):
         circle = 1 << (2 * cid + k)
@@ -390,7 +390,7 @@ def _rewire(matching: dict, arcs: Sequence[tuple], cid: int):
             M[ea] = eb
             M[eb] = ea
             steps.append((0, 1 << ea | 1 << eb, 0))
-    return M, tuple(steps)
+    return frozenset(M.items()), tuple(steps)
 
 
 def _lift_pieces(steps_s: tuple, steps_t: tuple) -> tuple:
@@ -444,12 +444,8 @@ def _lift(partition: Partition, pieces: tuple, memo: _SurfaceMemo, cycles: tuple
     return _rebuild(working, memo, cycles, kept)
 
 
-def _matching_key(matching: dict) -> frozenset:
-    return frozenset(matching.items())
-
-
-def _identity_parts(matching: dict) -> list:
-    return [(1 << a | 1 << b, 0, 0, (1, 0), 1) for a, b in matching.items() if a < b]
+def _identity_parts(key: frozenset) -> list:
+    return [(1 << a | 1 << b, 0, 0, (1, 0), 1) for a, b in key if a < b]
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +461,9 @@ def scan_order(D: LinkDiagram) -> tuple[list, int]:
     return greedy_order(D, D.crossings)
 
 
-def greedy_order(D: LinkDiagram, crossings) -> tuple[list, int]:
-    """scan_order over the given crossings of D only; an edge to a crossing
-    left out stays open."""
+def greedy_order(D: LinkDiagram, crossings, start: int | None = None) -> tuple[list, int]:
+    """scan_order over the given crossings of D only, from the crossing
+    start when it is given; an edge to a crossing left out stays open."""
     remaining = set(crossings)
     scanned: set = set()
     open_edges: set = set()
@@ -480,13 +476,20 @@ def greedy_order(D: LinkDiagram, crossings) -> tuple[list, int]:
             for cid in remaining
             if any(D.crossings[cid].slots[s][0] in open_edges for s in range(4))
         ]
-        pool = adjacent if adjacent else sorted(remaining)
+        pool = adjacent or ([start] if start in remaining else sorted(remaining))
         # each candidate is ranked by the width it leaves, scanned on copies
         best = min(pool, key=lambda cid: (_scan_past(D, cid, set(scanned), set(open_edges)), cid))
         remaining.discard(best)
         order.append(best)
         girth = max(girth, _scan_past(D, best, scanned, open_edges))
     return order, girth
+
+
+def order_width(D: LinkDiagram, order) -> int:
+    """The largest number of open edges along order, from an empty start."""
+    scanned: set = set()
+    open_edges: set = set()
+    return max((_scan_past(D, cid, scanned, open_edges) for cid in order), default=0)
 
 
 def _scan_past(D: LinkDiagram, cid: int, scanned: set, open_edges: set) -> int:
@@ -508,11 +511,10 @@ def _scan_past(D: LinkDiagram, cid: int, scanned: set, open_edges: set) -> int:
 
 @dataclass(slots=True)
 class _Gen:
-    matching: dict
+    key: frozenset  # the open matching; delooped children share it
     rawh: int
     rawq: int
     circles: tuple
-    key: frozenset  # _matching_key(matching); delooped children share it
     side: int | None = None  # smoothing at the split crossing; children keep it
 
 
@@ -521,7 +523,7 @@ class _Track:
     """A distinguished cycle carried through the sweep for one orientation.
 
     The cycle is the differential row keyed by ref, from the reference
-    tangle R (a matching, with its key) into the generators.
+    tangle, the matching key, into the generators.
     """
 
     flips: frozenset
@@ -529,7 +531,6 @@ class _Track:
     ro: dict
     labels_by_eid: dict
     loop_labels: dict
-    R: dict = field(default_factory=dict)
     key: frozenset = frozenset()
 
 
@@ -558,7 +559,7 @@ class _Scan:
         self.girth = 0
         self._serial = 0
         self.window = window
-        g0 = self._new_gen({}, 0, 0, (), _matching_key({}))
+        g0 = self._new_gen(frozenset(), 0, 0, ())
         self.tracks: dict = {}  # ref id -> _Track
         for flips in orientations:
             tr = _make_track(D, theory, flips, self._serial)
@@ -566,12 +567,10 @@ class _Scan:
             self._set_entry(tr.ref, g0, {frozenset(): 1})
             self.tracks[tr.ref] = tr
 
-    def _new_gen(
-        self, matching: dict, rawh: int, rawq: int, circles: tuple, key: frozenset, side=None
-    ) -> int:
+    def _new_gen(self, key: frozenset, rawh: int, rawq: int, circles: tuple, side=None) -> int:
         gid = self._serial
         self._serial += 1
-        self.gens[gid] = _Gen(matching, rawh, rawq, circles, key, side)
+        self.gens[gid] = _Gen(key, rawh, rawq, circles, side)
         return gid
 
     def fork(self) -> "_Scan":
@@ -631,36 +630,36 @@ class _Scan:
             else:
                 new |= 1 << e
 
-        def rewired(g: _Gen) -> tuple:
-            """Per smoothing (matching, steps, circles, key), then the saddle
+        def rewired(key: frozenset) -> tuple:
+            """Per smoothing (matching, steps, circles), then the saddle
             (pt, c0) of a crossing."""
-            hit = memo.rewired.get(g.key)
+            hit = memo.rewired.get(key)
             if hit is None:
                 sides = []
                 for arcs in smoothings:
-                    M2, steps = _rewire(g.matching, arcs, cid)
-                    circ = tuple(c for _, _, c in steps if c)
-                    sides.append((M2, steps, circ, _matching_key(M2)))
+                    k2, steps = _rewire(key, arcs, cid)
+                    sides.append((k2, steps, tuple(c for _, _, c in steps if c)))
                 saddle = None
                 if len(sides) == 2:
                     piece = (saddle_chi, glue, new, sum(sides[0][2]), sum(sides[1][2]))
-                    working = _apply_piece(_identity_parts(g.matching), piece, th)
-                    saddle = _rebuild(working, memo, memo.cycles_of(sides[0][3], sides[1][3]))
-                hit = memo.rewired[g.key] = (*sides, saddle)
+                    working = _apply_piece(_identity_parts(key), piece, th)
+                    saddle = _rebuild(working, memo, memo.cycles_of(sides[0][0], sides[1][0]))
+                hit = memo.rewired[key] = (*sides, saddle)
             return hit
 
-        def lift(gx: _Gen, gy: _Gen, eps: int) -> tuple:
-            """(pieces, cycles, table) lifting gx -> gy through smoothing eps,
-            stored in memo.lifts; the table memoizes lifted partitions and is
-            shared by every pair with the same pieces and cycles."""
-            sx, sy = rewired(gx)[eps], rewired(gy)[eps]
+        def lift(kx: frozenset, ky: frozenset, eps: int) -> tuple:
+            """(pieces, cycles, table) lifting matching kx -> ky through
+            smoothing eps, stored in memo.lifts; the table memoizes lifted
+            partitions and is shared by every pair with the same pieces and
+            cycles."""
+            sx, sy = rewired(kx)[eps], rewired(ky)[eps]
             steps = (sx[1], sy[1])
             pieces = memo.pieces.get(steps)
             if pieces is None:
                 pieces = memo.pieces[steps] = _lift_pieces(*steps)
-            cycles = memo.cycles_of(sx[3], sy[3])
+            cycles = memo.cycles_of(sx[0], sy[0])
             table = memo.lifted.setdefault((pieces, cycles), {})
-            hit = memo.lifts[(gx.key, gy.key, eps)] = (pieces, cycles, table)
+            hit = memo.lifts[(kx, ky, eps)] = (pieces, cycles, table)
             return hit
 
         # newid[gid][eps]: the generator that gid's eps smoothing makes
@@ -670,8 +669,8 @@ class _Scan:
         for gid in sorted(old_gens):
             g = old_gens[gid]
             newid[gid] = tuple(
-                self._new_gen(M2, g.rawh + eps, g.rawq, circ, key, eps if split else g.side)
-                for eps, (M2, _, circ, key) in enumerate(rewired(g)[:-1])
+                self._new_gen(key, g.rawh + eps, g.rawq, circ, eps if split else g.side)
+                for eps, (key, _, circ) in enumerate(rewired(g.key)[:-1])
             )
 
         # a tracked row follows its orientation's smoothing, from the
@@ -679,31 +678,31 @@ class _Scan:
         refs = {}
         for tr in self.tracks.values():
             eps = tr.ro[cid]
-            g_ref = _Gen(tr.R, 0, 0, (), tr.key)
-            tr.R, steps, _, tr.key = rewired(g_ref)[eps]
+            kx = tr.key
+            tr.key, steps, _ = rewired(kx)[eps]
             # an arc that closes a circle lies on it, and so do its edges
             caps = [
                 (circle, tr.labels_by_eid[ea])
                 for (_, _, circle), (ea, _) in zip(steps, smoothings[eps])
                 if circle
             ]
-            refs[tr.ref] = (g_ref, eps, caps)
+            refs[tr.ref] = (kx, eps, caps)
 
         # a row lifts to its children's; a tracked row keeps its ref
         old_d, d, rin, lifts = self.d, {}, {}, memo.lifts
         self.d, self.rin = d, rin
         for x, row in old_d.items():
             if x in refs:
-                gx, eps, caps = refs[x]
+                kx, eps, caps = refs[x]
                 rows = ((x, eps),)
             else:
-                gx, caps = old_gens[x], ()
+                kx, caps = old_gens[x].key, ()
                 rows = zip(newid[x], (0, 1))
             for x2, eps in rows:
                 out = {}
                 for y, m in row.items():
-                    gy = old_gens[y]
-                    pieces, cycles, table = lifts.get((gx.key, gy.key, eps)) or lift(gx, gy, eps)
+                    ky = old_gens[y].key
+                    pieces, cycles, table = lifts.get((kx, ky, eps)) or lift(kx, ky, eps)
                     m2 = _map(m, table, p, _lift, pieces, memo, cycles)
                     for circle, lab in caps:
                         m2 = mor_cap(m2, circle, 0, lab, memo)
@@ -717,7 +716,7 @@ class _Scan:
         if len(smoothings) == 2:  # a crossing's saddle joins the two children
             for gid in sorted(old_gens):
                 sign = 1 if old_gens[gid].rawh % 2 == 0 else p - 1
-                pt, c0 = rewired(old_gens[gid])[2]
+                pt, c0 = rewired(old_gens[gid].key)[2]
                 if pt is not None:
                     self._set_entry(*newid[gid], {pt: c0 * sign % p})
 
@@ -761,8 +760,8 @@ class _Scan:
             gid = queue.pop()
             g = gens.pop(gid)
             circle, rest = g.circles[0], g.circles[1:]
-            gp = self._new_gen(g.matching, g.rawh, g.rawq + 1, rest, g.key, g.side)
-            gm = self._new_gen(g.matching, g.rawh, g.rawq - 1, rest, g.key, g.side)
+            gp = self._new_gen(g.key, g.rawh, g.rawq + 1, rest, g.side)
+            gm = self._new_gen(g.key, g.rawh, g.rawq - 1, rest, g.side)
             for w in sorted(rin.pop(gid, ())):
                 row = d[w]
                 m = row.pop(gid)
@@ -893,7 +892,7 @@ class _Scan:
         grading shifts of flips and the crossingless loops."""
         th, p = self.th, self.p
         for g in self.gens.values():
-            assert not g.matching and not g.circles
+            assert not g.key and not g.circles
         nplus = D.n_plus(flips)
         nminus = D.n_minus(flips)
         loops = sorted(D.loops)

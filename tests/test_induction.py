@@ -141,6 +141,12 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
     builds = []
     every = []
     build = induction.cable_family_diagram
+    words = Counter()
+    word_of = induction.entry_word
+
+    def counted_word(base, e):
+        words[e] += 1
+        return word_of(base, e)
 
     def counted(base, f, m, a=0, i=0):
         builds.append((f, m, a, i))
@@ -160,9 +166,12 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
         builds.clear()
 
     monkeypatch.setattr(induction, "cable_family_diagram", counted)
+    monkeypatch.setattr(induction, "entry_word", counted_word)
     report = audit_family(UNKNOT, "unknot", max_level=1, progress=check)
     assert report.ok(), report.problems()
     assert len(every) == len(set(every)) == 8
+    # each audit_entry call computes each member's word once, hits included
+    assert sum(words.values()) == 25
 
 
 # the paper's companion, -5_2: its closure's Khovanov table is 5_2's Knot
@@ -174,6 +183,22 @@ def test_the_papers_companion_drops_at_level_zero():
     report = slice_drop_report(MINUS_5_2, "-5_2", 0)
     assert report.status == "verified", report
     assert report.s_companion == report.s_cable == report.expected == -2
+
+
+@pytest.mark.parametrize(
+    "max_level, budget, statuses, skipped_crossings",
+    [
+        (0, 60, {"scanned": 1, "duplicate": 4}, set()),
+        (1, 20, {"scanned": 1, "duplicate": 18, "skipped": 31}, set(range(54, 85))),
+    ],
+    ids=["level-0", "level-1-budget-20"],
+)
+def test_the_papers_companion_audits(max_level, budget, statuses, skipped_crossings):
+    report = audit_family(MINUS_5_2, "-5_2", max_level=max_level, budget=budget)
+    assert report.ok(), report.problems()
+    assert Counter(r.status for r in report.records) == statuses
+    # every skip states its crossing count, all above the budget
+    assert {r.crossings for r in report.skipped()} == skipped_crossings
 
 
 def test_the_mirror_trefoil_drops_at_level_one():
@@ -279,17 +304,44 @@ def test_the_sweep_does_the_pinned_work(monkeypatch):
     assert counts == {"__init__": 3, "attach": 57, "join": 53}
 
 
+def _counted_sweep(monkeypatch, base, level):
+    """The level's sweep, and the start of each greedy_order call it made."""
+    starts = []
+    greedy = induction.greedy_order
+
+    def counted(D, crossings, start=None):
+        starts.append(start)
+        return greedy(D, crossings, start)
+
+    monkeypatch.setattr(induction, "greedy_order", counted)
+    return LevelSweep(base, level, khovanov(3)), starts
+
+
+# every sweep the ladder benchmark builds
 @pytest.mark.parametrize(
     "base, level, girth",
-    [(UNKNOT, 2, 10), (WRITHE_M2, 1, 6), (MIRROR_TREFOIL, 1, 12)],
-    ids=["unknot", "writhe-2", "mirror-trefoil"],
+    [
+        (UNKNOT, 0, 0), (UNKNOT, 1, 6), (UNKNOT, 2, 10), (WRITHE_M2, 0, 2), (WRITHE_M2, 1, 6),
+        (MIRROR_TREFOIL, 0, 4), (MIRROR_TREFOIL, 1, 12),
+    ],
+    ids=[
+        "unknot-0", "unknot-1", "unknot", "writhe-2-0", "writhe-2",
+        "mirror-trefoil-0", "mirror-trefoil",
+    ],
 )
-def test_the_sweep_keeps_the_plain_girth(base, level, girth):
-    sweep = LevelSweep(base, level, khovanov(3))
-    scanned, open_edges = set(), set()
-    widths = [scanning._scan_past(sweep.D, cid, scanned, open_edges) for cid in sweep.order]
+def test_the_sweep_keeps_the_plain_girth(monkeypatch, base, level, girth):
+    sweep, starts = _counted_sweep(monkeypatch, base, level)
     longest, _ = induction.family_diagram(base, LadderEntry(0, level, 2 * level, 2 * level))
-    assert max(widths) == scanning.scan_order(longest)[1] == girth
+    assert scanning.order_width(sweep.D, sweep.order) == scanning.scan_order(longest)[1] == girth
+    assert starts == [None], "an order at the plain girth needs no search"
+
+
+def test_the_papers_companion_sweep_searches_its_start(monkeypatch):
+    # from the default start the cable-then-box order reaches width 16
+    sweep, starts = _counted_sweep(monkeypatch, MINUS_5_2, 1)
+    assert scanning.scan_order(sweep.D)[1] == 12
+    assert scanning.order_width(sweep.D, sweep.order) == 14
+    assert starts == [None, *range(54)]
 
 
 @pytest.mark.parametrize("base, level, girth", [(UNKNOT, 2, 10), (WRITHE_M2, 1, 6)], ids=["unknot", "writhe-2"])

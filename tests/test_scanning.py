@@ -44,6 +44,11 @@ def test_scan_order_covers_and_reports_girth():
     order, girth = scan_order(D)
     assert sorted(order) == sorted(D.crossings)
     assert girth >= 2
+    assert scanning.order_width(D, order) == girth
+    for start in D.crossings:
+        order, girth = scanning.greedy_order(D, D.crossings, start)
+        assert order[0] == start and sorted(order) == sorted(D.crossings)
+        assert scanning.order_width(D, order) == girth
 
 
 def test_tables_match_cube_on_fixed_small_cases():
@@ -340,7 +345,7 @@ def test_elimination_takes_the_cheapest_iso_entry_first():
     for eliminate_all in (scanning._Scan._eliminate_all, restart_sweep_eliminate_all):
         sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
         sc.gens.clear()
-        x1, x2, y, w = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (1, 1, 0, 3))
+        x1, x2, y, w = (sc._new_gen(frozenset(), 0, rawq, ()) for rawq in (1, 1, 0, 3))
         for src, dst in ((x1, y), (x2, y), (x1, w)):
             sc._set_entry(src, dst, {frozenset(): 1})
         eliminate_all(sc, scanning._SurfaceMemo(sc.th))
@@ -356,8 +361,8 @@ def test_an_entry_whose_cost_grew_goes_back_on_the_heap():
     # would cancel ya; pushed back, it loses to (x, yb), which cancels yb.
     sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
     sc.gens.clear()
-    c, yc, x, ya, yb = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (5, 4, 1, 0, 0))
-    others = [sc._new_gen({}, 0, 9, (), frozenset()) for _ in range(9)]
+    c, yc, x, ya, yb = (sc._new_gen(frozenset(), 0, rawq, ()) for rawq in (5, 4, 1, 0, 0))
+    others = [sc._new_gen(frozenset(), 0, 9, ()) for _ in range(9)]
     zs, as_, bs = others[:3], others[3:5], others[5:]
     pairs = [(c, yc), (c, ya), (x, ya), (x, yb)]
     pairs += [(z, yc) for z in zs] + [(a, ya) for a in as_] + [(b, yb) for b in bs]
@@ -542,7 +547,7 @@ def disk(*points, label=(1, 0)):
 
 
 def key(*pairs):
-    return scanning._matching_key({e: f for a, b in pairs for e, f in ((a, b), (b, a))})
+    return frozenset(pair for a, b in pairs for pair in ((a, b), (b, a)))
 
 
 def test_every_surface_check_fires_on_bad_input():
@@ -627,7 +632,7 @@ def test_cycle_count_matches_an_arc_walk():
         points = rng.sample(range(40), 2 * rng.randint(0, 8))
         src, tgt = random_matching(rng, points), random_matching(rng, points)
         memo = scanning._SurfaceMemo(khovanov(3))
-        cycles = memo.cycles_of(scanning._matching_key(src), scanning._matching_key(tgt))
+        cycles = memo.cycles_of(frozenset(src.items()), frozenset(tgt.items()))
         walked = arc_walk_cycles(src, tgt)
         assert sorted(cycles) == sorted(bits(*c) for c in walked)
         chosen = [c for c in walked if rng.random() < 0.5]
@@ -652,6 +657,6 @@ def test_cycle_count_matches_an_arc_walk():
 )
 def test_iso_scalar_truth_table(partition, unit):
     sc = scanning._Scan(braid_closure(BraidWord(2, (1,))), khovanov(3), [])
-    x, y = (sc._new_gen({}, 0, rawq, (), frozenset()) for rawq in (1, 0))
+    x, y = (sc._new_gen(frozenset(), 0, rawq, ()) for rawq in (1, 0))
     assert sc._iso_scalar(x, y, {partition: 1}) == unit
     assert sc._iso_scalar(x, y, {partition: 1, frozenset({disk(4, 5)}): 1}) is None

@@ -52,7 +52,7 @@ from .cobordism import cone_over_crossing, split_cone
 from .diagrams import LinkDiagram, UnionFind, smoothing_arcs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
-from .scanning import ScanResult, _Scan, greedy_order, homology_table, order_width, scan_order
+from .scanning import ScanResult, _Scan, greedy_order, homology_table
 
 
 LEE_SCAN_LIMIT = 12
@@ -345,24 +345,15 @@ class LevelSweep:
 
     The companion cable's crossings come first, in the greedy order
     restricted to them (letter order can open far more edges), then the
-    framing twists and pattern rows in letter order.  When that order is
-    wider than the plain greedy order of the whole word, the cable's greedy
-    order is tried from each cable crossing, and the narrowest wins, the
-    lowest start on a tie (-5_2's level 1: width 16 from the default start,
-    14 from the best, against a plain girth of 12).
+    framing twists and pattern rows in letter order.
     """
 
     def __init__(self, base: BraidWord, level: int, theory):
         self.word = entry_word(base, LadderEntry(0, level, 2 * level, 2 * level))
         self.D, self.columns = braid_closure(self.word, with_columns=True)
-        cable = range(len(base.letters) * strand_width(level) ** 2)
-        box = list(range(len(cable), len(self.word.letters)))
-        self.order = greedy_order(self.D, cable)[0] + box
-        if order_width(self.D, self.order) > scan_order(self.D)[1]:
-            self.order = min(
-                (greedy_order(self.D, cable, start)[0] + box for start in cable),
-                key=lambda order: order_width(self.D, order),
-            )
+        n_cable = len(base.letters) * strand_width(level) ** 2
+        order, _ = greedy_order(self.D, range(n_cable))
+        self.order = order + list(range(n_cable, len(self.word.letters)))
         self.scan = _Scan(self.D, theory, [])
         self.done = 0  # crossings of self.order attached
 

@@ -461,9 +461,9 @@ def scan_order(D: LinkDiagram) -> tuple[list, int]:
     return greedy_order(D, D.crossings)
 
 
-def greedy_order(D: LinkDiagram, crossings, start: int | None = None) -> tuple[list, int]:
-    """scan_order over the given crossings of D only, from the crossing
-    start when it is given; an edge to a crossing left out stays open."""
+def greedy_order(D: LinkDiagram, crossings) -> tuple[list, int]:
+    """scan_order over the given crossings of D only; an edge to a crossing
+    left out stays open."""
     remaining = set(crossings)
     scanned: set = set()
     open_edges: set = set()
@@ -476,20 +476,13 @@ def greedy_order(D: LinkDiagram, crossings, start: int | None = None) -> tuple[l
             for cid in remaining
             if any(D.crossings[cid].slots[s][0] in open_edges for s in range(4))
         ]
-        pool = adjacent or ([start] if start in remaining else sorted(remaining))
+        pool = adjacent if adjacent else sorted(remaining)
         # each candidate is ranked by the width it leaves, scanned on copies
         best = min(pool, key=lambda cid: (_scan_past(D, cid, set(scanned), set(open_edges)), cid))
         remaining.discard(best)
         order.append(best)
         girth = max(girth, _scan_past(D, best, scanned, open_edges))
     return order, girth
-
-
-def order_width(D: LinkDiagram, order) -> int:
-    """The largest number of open edges along order, from an empty start."""
-    scanned: set = set()
-    open_edges: set = set()
-    return max((_scan_past(D, cid, scanned, open_edges) for cid in order), default=0)
 
 
 def _scan_past(D: LinkDiagram, cid: int, scanned: set, open_edges: set) -> int:

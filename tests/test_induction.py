@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -141,11 +142,20 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
     builds = []
     every = []
     build = induction.cable_family_diagram
+    # entry_word calls by (audit_entry call, entry, caller)
     words = Counter()
-    word_of = induction.entry_word
+    calls = []
+    word_of, audit = induction.entry_word, induction.audit_entry
+
+    def counted_audit(base, e, *args):
+        calls.append(e)
+        return audit(base, e, *args)
 
     def counted_word(base, e):
-        words[e] += 1
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "audit_entry" and e != calls[-1]:
+            caller = "partner"
+        words[len(calls), e, {"__init__": "sweep"}.get(caller, caller)] += 1
         return word_of(base, e)
 
     def counted(base, f, m, a=0, i=0):
@@ -167,11 +177,19 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
 
     monkeypatch.setattr(induction, "cable_family_diagram", counted)
     monkeypatch.setattr(induction, "entry_word", counted_word)
+    monkeypatch.setattr(induction, "audit_entry", counted_audit)
     report = audit_family(UNKNOT, "unknot", max_level=1, progress=check)
     assert report.ok(), report.problems()
     assert len(every) == len(set(every)) == 8
-    # each audit_entry call computes each member's word once, hits included
-    assert sum(words.values()) == 25
+    # each audit_entry call computes its own word and each member's once,
+    # hits included
+    own = Counter((n, e) for n, e, caller in words.elements() if caller in ("audit_entry", "member"))
+    assert set(own.values()) == {1}
+    # apart from those, each duplicate reads its partner's word and each
+    # level's sweep its last entry's
+    assert Counter(caller for _, _, caller in words.elements()) == {
+        "audit_entry": 10, "member": 11, "partner": 2, "sweep": 2,
+    }
 
 
 # the paper's companion, -5_2: its closure's Khovanov table is 5_2's Knot
@@ -197,7 +215,9 @@ def test_the_papers_companion_audits(max_level, budget, statuses, skipped_crossi
     report = audit_family(MINUS_5_2, "-5_2", max_level=max_level, budget=budget)
     assert report.ok(), report.problems()
     assert Counter(r.status for r in report.records) == statuses
-    # every skip states its crossing count, all above the budget
+    # every skip states its crossing count, all above the budget; at budget
+    # 20 no level-1 entry is scanned, so level 1 only smoke-tests the skip
+    # bookkeeping
     assert {r.crossings for r in report.skipped()} == skipped_crossings
 
 
@@ -304,19 +324,6 @@ def test_the_sweep_does_the_pinned_work(monkeypatch):
     assert counts == {"__init__": 3, "attach": 57, "join": 53}
 
 
-def _counted_sweep(monkeypatch, base, level):
-    """The level's sweep, and the start of each greedy_order call it made."""
-    starts = []
-    greedy = induction.greedy_order
-
-    def counted(D, crossings, start=None):
-        starts.append(start)
-        return greedy(D, crossings, start)
-
-    monkeypatch.setattr(induction, "greedy_order", counted)
-    return LevelSweep(base, level, khovanov(3)), starts
-
-
 # every sweep the ladder benchmark builds
 @pytest.mark.parametrize(
     "base, level, girth",
@@ -329,19 +336,12 @@ def _counted_sweep(monkeypatch, base, level):
         "mirror-trefoil-0", "mirror-trefoil",
     ],
 )
-def test_the_sweep_keeps_the_plain_girth(monkeypatch, base, level, girth):
-    sweep, starts = _counted_sweep(monkeypatch, base, level)
+def test_the_sweep_keeps_the_plain_girth(base, level, girth):
+    sweep = LevelSweep(base, level, khovanov(3))
+    scanned, open_edges = set(), set()
+    widths = [scanning._scan_past(sweep.D, cid, scanned, open_edges) for cid in sweep.order]
     longest, _ = induction.family_diagram(base, LadderEntry(0, level, 2 * level, 2 * level))
-    assert scanning.order_width(sweep.D, sweep.order) == scanning.scan_order(longest)[1] == girth
-    assert starts == [None], "an order at the plain girth needs no search"
-
-
-def test_the_papers_companion_sweep_searches_its_start(monkeypatch):
-    # from the default start the cable-then-box order reaches width 16
-    sweep, starts = _counted_sweep(monkeypatch, MINUS_5_2, 1)
-    assert scanning.scan_order(sweep.D)[1] == 12
-    assert scanning.order_width(sweep.D, sweep.order) == 14
-    assert starts == [None, *range(54)]
+    assert max(widths, default=0) == scanning.scan_order(longest)[1] == girth
 
 
 @pytest.mark.parametrize("base, level, girth", [(UNKNOT, 2, 10), (WRITHE_M2, 1, 6)], ids=["unknot", "writhe-2"])

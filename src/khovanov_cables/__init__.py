@@ -7,7 +7,8 @@ Subpackage map:
   filtration levels
 - braids, diagrams, planar: braid words, planar link diagrams, embedding data
 - pdcodes: PD-code reading and writing of link diagrams
-- cabling: blackboard cables, framing correction and pattern insertion
+- cabling: framed satellites of a braid-word companion as one braid word,
+  and the orientation bookkeeping of their cable strands
 - frobenius, cube: the deformed Frobenius algebra and the naive state-sum
   complex (small-diagram oracle)
 - scanning: the divide-and-conquer engine used at production sizes, and

@@ -72,7 +72,8 @@ def reversal_span(level: int, strands: int) -> int:
     width N.  Equals the gap between consecutive top gradings when one
     strand is dropped per level."""
     n = strand_width(level)
-    assert 0 <= strands <= n
+    if not 0 <= strands <= n:
+        raise ValueError(f"reversal_span({level}, {strands}): strands must lie in 0..{n}")
     return 2 * strands * (n - strands)
 
 

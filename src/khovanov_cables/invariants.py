@@ -48,26 +48,26 @@ def determinant_from_dims(dims: dict[tuple[int, int], int]) -> int:
     """Knot determinant from an undeformed dimension table.
 
     Divides the graded Euler characteristic by q + q^-1 and evaluates the
-    quotient at q^2 = -1. Only valid for knots (odd quantum gradings).
+    quotient at q^2 = -1. Only valid for knots: a table with an even
+    quantum grading, or whose Euler characteristic q + q^-1 does not
+    divide, raises ValueError.
     """
     poly = graded_euler(dims)
-    assert all(e % 2 == 1 for e in poly), "determinant helper expects a knot table"
+    if any(e % 2 == 0 for e in poly):
+        raise ValueError("determinant helper expects a knot table (odd quantum gradings)")
     quotient: dict[int, int] = {}
-    # divide by (q + q^-1), top down: P = (q + 1/q) Q
+    # divide by (q + q^-1), top down: P = (q + 1/q) Q; every quotient
+    # exponent lies above the lowest exponent of P
     work = dict(poly)
-    while work:
+    floor = min(work, default=0)
+    while work and max(work) > floor + 1:
         top = max(work)
         c = work.pop(top)
-        if c == 0:
-            continue
-        e = top - 1
-        quotient[e] = quotient.get(e, 0) + c
-        low = e - 1
+        quotient[top - 1] = c
+        low = top - 2
         work[low] = work.get(low, 0) - c
-        if work.get(low) == 0:
+        if work[low] == 0:
             work.pop(low)
-    total = 0
-    for e, c in quotient.items():
-        assert e % 2 == 0, "quotient has odd exponents; not a knot table"
-        total += c * (-1) ** ((e // 2) % 2)
-    return abs(total)
+    if work:
+        raise ValueError("q + q^-1 does not divide the graded Euler characteristic")
+    return abs(sum(c * (-1) ** ((e // 2) % 2) for e, c in quotient.items()))

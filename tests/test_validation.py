@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings, row_word
-from khovanov_cables.cabling import CableMeta, cable_insert, cable_of_braid, orientation_flips
+from khovanov_cables.cabling import CableMeta, cable_of_braid, orientation_flips
 from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
 from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
-from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder
+from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder, reversal_span
+from khovanov_cables.invariants import determinant_from_dims
 from khovanov_cables.lee import s_invariant
 from khovanov_cables.pdcodes import read_pd, write_pd
 from khovanov_cables.scanning import scan_complex
@@ -80,9 +81,6 @@ BAD_INPUT = {
     "orientation_flips-args20": ("orientation_flips", (CableMeta((0, 1, 0)), {7})),
     "count_inter_crossings-args21": ("count_inter_crossings", (BraidWord(3, (1, 2)), {5})),
     "write_pd-args22": ("write_pd", (TRIO.with_free_loop(),)),
-    "cable_insert-args23": ("cable_insert", (braid_closure(BraidWord(2, (1, 1))), 0, BraidWord(2, (1,)))),
-    "cable_insert-args24": ("cable_insert", (TRIO.with_free_loop(), 0, BraidWord(2, (1,)))),
-    "cable_insert-args25": ("cable_insert", (braid_closure(BraidWord(4, (1, 3))), 0, BraidWord(2, (1,)))),
     "cable_of_braid-args26": ("cable_of_braid", (BraidWord(2, (1, 1)), 0, BraidWord(2, (1,)))),
     "cone_over_crossing-args27": ("cone_over_crossing", (TRIO, khovanov(3), 99)),
     "cone_from_cube-args28": ("cone_from_cube", (TRIO, khovanov(3), 99)),
@@ -98,6 +96,9 @@ BAD_INPUT = {
     "Matrix-ragged-row": ("Matrix", ([[1, 2], [3]], 2)),
     "solve-row-counts-differ": ("solve", (Matrix([[1]], 1), Matrix([[1], [0]], 1), 3)),
     "product_is_zero-inner-sizes-differ": ("product_is_zero", (Matrix([[1, 1]], 2), Matrix([[1]], 1), 3)),
+    "determinant_from_dims-even-grading": ("determinant_from_dims", ({(0, 0): 2},)),
+    "determinant_from_dims-not-divisible": ("determinant_from_dims", ({(0, 1): 1, (0, -1): 1, (2, 5): 1},)),
+    "reversal_span-strands-above-width": ("reversal_span", (1, 7)),
 }
 
 

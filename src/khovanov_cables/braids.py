@@ -107,8 +107,6 @@ def row_word(m: int, a: int, i: int) -> BraidWord:
 
 def full_twist(strands: int, count: int = 1) -> BraidWord:
     """`count` full twists on the given strands (negative count twists back)."""
-    if strands <= 1:
-        return BraidWord(max(strands, 1), ())
     row = tuple(range(1, strands))
     word = BraidWord(strands, row * strands)
     return word.power(count)
@@ -143,6 +141,8 @@ def count_inter_crossings(word: BraidWord, strands: set[int]) -> int:
 
 
 def random_braid(rng: Random, strands: int, length: int) -> BraidWord:
+    if strands < 1 or length < 0:
+        raise ValueError(f"random_braid({strands}, {length}): need strands >= 1, length >= 0")
     if strands == 1:
         return BraidWord(1, ())
     choices = [s * j for j in range(1, strands) for s in (1, -1)]
@@ -155,7 +155,8 @@ def cable_word(word: BraidWord, width: int) -> BraidWord:
     Each letter becomes a width^2 block moving the two bundles past each
     other strand by strand, preserving order within each bundle.
     """
-    assert width >= 1
+    if width < 1:
+        raise ValueError(f"cable_word: width {width} is not positive")
     letters: list[int] = []
     for l in word.letters:
         j, sign = abs(l), (1 if l > 0 else -1)

@@ -83,13 +83,17 @@ attachment rewires each distinct matching once and builds the lifting
 pieces once per pair of step tuples.  The surface normalizations of one
 attachment (gluing, capping, lifting and counting boundary cycles) are
 memoized on unit coefficients, and lifting and capping renormalize only the
-parts they touch.  All these tables live in a _SurfaceMemo that the
-attachment creates and drops: entries repeat heavily within one attachment,
-while a memo kept for a whole scan would grow with it.  The surface maps add
-each memoized result, times its coefficient, straight into the target
-morphism; attaching, delooping and elimination edit the rows and columns in
-place; and a part that meets a unit label keeps the other label, with no
-algebra.
+parts they touch.  All these tables live in a _SurfaceMemo that each attach
+or join creates and drops: entries repeat heavily within one step, while a
+memo kept for a whole scan would grow with it.  A step has two halves.  The
+lift consumes the complex it reads: it pops each old row as it lifts it, and
+the old generators go when it returns.  The reduction first drops the four
+tables that only the lift reads, then deloops and eliminates, so at the
+step's peak the new complex and the gluing, capping and cycle tables are all
+that is alive.  The surface maps add each memoized result, times its
+coefficient, straight into the target morphism; delooping and elimination
+edit the rows and columns in place; and a part that meets a unit label keeps
+the other label, with no algebra.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ Morphism = dict
 
 
 class _SurfaceMemo:
-    """Unit-coefficient surface results, shared by the calls of one attach.
+    """Unit-coefficient surface results, shared by the calls of one attach
+    or join.
 
     A matching is its key, the frozenset of its (point, partner) pairs.  A
     partition reads through the matchings of its morphism, so every table
@@ -123,15 +128,16 @@ class _SurfaceMemo:
     later, source, target) to the composite, capped maps (source bit,
     target bit, label) to a table from partition to the capped partition
     (capping keeps the genus, so it needs no matchings), and cycles maps a
-    (source, target) pair of matchings to the point masks of their cycles.
-    A caller scales a (partition, c0) result by its own coefficient, which
-    is exact because p is prime and neither factor is zero.  Three more
-    tables serve the attachment itself: rewired maps a matching to what the
-    crossing makes of it, pieces maps a pair of step tuples to its lifting
-    pieces, and lifts maps a (matching, matching, eps) triple to its pieces,
-    the cycles of the lifted matchings and a table of lifted partitions,
-    which lifted keeps per (pieces, cycles) for every pair that shares them: a
-    lifted partition depends on nothing else.
+    (source, target) pair of matchings to the point masks of their cycles;
+    these three live for the whole step.  A caller scales a (partition, c0)
+    result by its own coefficient, which is exact because p is prime and
+    neither factor is zero.  Four more tables live only for the lift, and
+    _Scan._reduce empties them before it deloops: rewired maps a matching
+    to what the crossing makes of it, pieces maps a pair of step tuples to
+    its lifting pieces, lifts maps a (matching, matching, eps) triple to its
+    pieces, the cycles of the lifted matchings and a table of lifted
+    partitions, and lifted keeps that table per (pieces, cycles) for every
+    pair that shares them: a lifted partition depends on nothing else.
     """
 
     def __init__(self, th: Theory):
@@ -596,8 +602,11 @@ class _Scan:
         slot_edges = [cr.slots[s][0] for s in range(4)]
         self_edges = {e for e in set(slot_edges) if slot_edges.count(e) == 2}
         smoothings = [smoothing_arcs(cr, eps) for eps in (0, 1)]
-        self._lift_through(cid, smoothings, set(slot_edges) - self_edges, 1 - len(self_edges), split)
+        memo = self._lift_through(
+            cid, smoothings, set(slot_edges) - self_edges, 1 - len(self_edges), split
+        )
         self.girth = max(self.girth, _scan_past(self.D, cid, self.scanned, self.open))
+        self._reduce(memo)
 
     def join(self, arcs: Sequence[tuple]) -> None:
         """Join open edges in pairs by crossingless arcs, deloop and
@@ -605,15 +614,22 @@ class _Scan:
         assert not self.tracks, "a tracked row has no reference tangle past a join"
         edges = {e for arc in arcs for e in arc}
         assert edges <= self.open, "a join arc ends on an edge that is not open"
-        self._lift_through(0, [arcs], edges, 0, False)
+        memo = self._lift_through(0, [arcs], edges, 0, False)
         self.open -= edges
+        self._reduce(memo)
 
-    def _lift_through(self, cid: int, smoothings: list, edges: set, saddle_chi: int, split: bool):
+    def _lift_through(
+        self, cid: int, smoothings: list, edges: set, saddle_chi: int, split: bool
+    ) -> _SurfaceMemo:
         """Rewire every generator through each smoothing's arcs (two for a
         crossing, joined by a saddle of Euler characteristic saddle_chi; one
-        for a join), lift the rows, deloop and eliminate.  cid names the
-        circles the arcs close.  Then every generator that can no longer end
-        in the window goes."""
+        for a join) and lift the rows; cid names the circles the arcs close.
+
+        This is the first half of a step, and it consumes the complex it
+        reads: each old row is popped from the old d as it is lifted, in
+        insertion order, and the old generators go when this returns.
+        Returns the step's memo, whose lift-only tables _reduce drops.
+        """
         th, p = self.th, self.p
         memo = _SurfaceMemo(th)
         glue = new = 0
@@ -684,7 +700,8 @@ class _Scan:
         # a row lifts to its children's; a tracked row keeps its ref
         old_d, d, rin, lifts = self.d, {}, {}, memo.lifts
         self.d, self.rin = d, rin
-        for x, row in old_d.items():
+        for x in list(old_d):
+            row = old_d.pop(x)
             if x in refs:
                 kx, eps, caps = refs[x]
                 rows = ((x, eps),)
@@ -712,14 +729,21 @@ class _Scan:
                 pt, c0 = rewired(old_gens[gid].key)[2]
                 if pt is not None:
                     self._set_entry(*newid[gid], {pt: c0 * sign % p})
+        return memo
 
+    def _reduce(self, memo: _SurfaceMemo) -> None:
+        """The second half of a step: drop the memo's lift-only tables, then
+        deloop, eliminate and let every generator that can no longer end in
+        the window go.  The open edges and scanned crossings are the step's
+        own, already updated."""
+        for table in (memo.rewired, memo.pieces, memo.lifts, memo.lifted):
+            table.clear()
         self._deloop_all(memo)
         self._eliminate_all(memo)
         if self.window is not None:
-            # the crossings still to attach after this one can add at most
-            # one each to rawh
+            # the crossings still to attach can add at most one each to rawh
             lo, hi = self.window
-            lo -= len(self.D.crossings) - len(self.scanned) - len(smoothings) // 2
+            lo -= len(self.D.crossings) - len(self.scanned)
             self._drop([gid for gid, g in self.gens.items() if not lo <= g.rawh <= hi])
 
     def _drop(self, gids: list) -> None:

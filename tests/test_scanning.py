@@ -529,6 +529,42 @@ def test_memo_is_dropped_when_attach_returns(monkeypatch):
     assert not [r for r in alive if r() is not None]
 
 
+def test_a_step_consumes_the_complex_it_lifts_before_delooping(monkeypatch):
+    # the lift pops every row of the complex it reads, and the lift-only
+    # memo tables hold nothing by the time delooping starts
+    lifted = []  # the scan's d from before each step
+    delooped = []
+
+    for name in ("attach", "join"):
+        step = getattr(scanning._Scan, name)
+
+        def checked(self, *args, _step=step, **kwargs):
+            old = self.d
+            lifted.append(old)
+            _step(self, *args, **kwargs)
+            assert self.d is not old and not old
+
+        monkeypatch.setattr(scanning._Scan, name, checked)
+    deloop_all = scanning._Scan._deloop_all
+
+    def checked_deloop(self, memo):
+        assert not lifted[-1], "a row of the pre-step complex is still there"
+        assert not (memo.rewired or memo.pieces or memo.lifts or memo.lifted)
+        delooped.append(memo)
+        deloop_all(self, memo)
+
+    monkeypatch.setattr(scanning._Scan, "_deloop_all", checked_deloop)
+    for D, th, kw in seeded_scans(6007, 2):
+        scan_complex(D, th, **kw)
+    D = braid_closure(cable_word(BraidWord(2, (-1, -1, -1)), 2))
+    scan_complex(D, lee_deformation(3), degrees=(-1, 1))
+    attaches = len(lifted)
+    # a level sweep forks its scan and closes each fork by joins
+    assert audit_family(BraidWord(3, (-1, -2)), "writhe -2 unknot", max_level=1).ok()
+    assert attaches > 50 and len(lifted) - attaches == 57 + 53
+    assert len(delooped) == len(lifted)
+
+
 # the bitmask surface layer on hand-built input
 
 

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
+from random import Random
 
 import pytest
 
-from khovanov_cables.braids import BraidWord, braid_closure, count_inter_crossings, row_word
+from khovanov_cables.braids import (
+    BraidWord, braid_closure, cable_word, count_inter_crossings, full_twist, random_braid, row_word,
+)
 from khovanov_cables.cabling import CableMeta, cable_of_braid, orientation_flips
 from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
 from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
@@ -99,6 +102,11 @@ BAD_INPUT = {
     "determinant_from_dims-even-grading": ("determinant_from_dims", ({(0, 0): 2},)),
     "determinant_from_dims-not-divisible": ("determinant_from_dims", ({(0, 1): 1, (0, -1): 1, (2, 5): 1},)),
     "reversal_span-strands-above-width": ("reversal_span", (1, 7)),
+    "cable_word-width-zero": ("cable_word", (BraidWord(2, (1,)), 0)),
+    "full_twist-no-strands": ("full_twist", (0,)),
+    "full_twist-negative-strands": ("full_twist", (-3,)),
+    "random_braid-no-strands": ("random_braid", (Random(0), 0, 3)),
+    "random_braid-negative-length": ("random_braid", (Random(0), 3, -1)),
 }
 
 

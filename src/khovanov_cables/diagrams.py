@@ -213,10 +213,6 @@ class LinkDiagram:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def n_crossings(self) -> int:
-        return len(self.crossings)
-
     def end_of_dart(self, dart: Dart) -> End:
         eid, toward = dart
         return self.edges[eid].ends[toward]

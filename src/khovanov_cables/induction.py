@@ -49,9 +49,10 @@ from .braids import BraidWord, braid_closure, count_inter_crossings, row_word
 from .cabling import alternating_flips, cable_family_diagram, satellite_word
 from .chain_algebra import HomologySpace, induced_matrix, rank
 from .cobordism import cone_over_crossing, split_cone
-from .diagrams import LinkDiagram, UnionFind, smoothing_arcs
+from .diagrams import LinkDiagram, smoothing_arcs
 from .frobenius import khovanov
 from .lee import expected_h_difference, lee_homology_dims, s_invariant
+from .planar import circles_of_arcs
 from .scanning import ScanResult, _Scan, greedy_order, homology_table
 
 
@@ -158,20 +159,15 @@ def orientation_census(D: LinkDiagram) -> dict[int, int]:
 
 
 def smoothed_component_count(D: LinkDiagram, cid: int, r: int) -> int:
-    """Component count after replacing one crossing by its r-smoothing.
-
-    Traced through edge identifications only; the smoothing is never
-    materialized, so curl degeneracies cost nothing.
-    """
-    uf = UnionFind(D.edges)
+    """Component count after replacing one crossing by its r-smoothing: the
+    circles of the state that joins every other crossing straight through
+    (slots 0-2 and 1-3), counted as the cube counts them.  The smoothing is
+    never materialized, so curl degeneracies cost nothing."""
+    arcs = smoothing_arcs(D.crossings[cid], r)
     for c2, x in D.crossings.items():
-        if c2 == cid:
-            continue
-        uf.union(x.slots[0][0], x.slots[2][0])
-        uf.union(x.slots[1][0], x.slots[3][0])
-    for ea, eb in smoothing_arcs(D.crossings[cid], r):
-        uf.union(ea, eb)
-    return len(uf.groups()) + len(D.loops)
+        if c2 != cid:
+            arcs += [(x.slots[0][0], x.slots[2][0]), (x.slots[1][0], x.slots[3][0])]
+    return len(circles_of_arcs(D, arcs))
 
 
 # -- the one-crossing triangle at the last pattern letter ----------------

@@ -3,39 +3,6 @@
 from __future__ import annotations
 
 
-def poincare_text(dims: dict) -> str:
-    """Dimension table as a polynomial string, monomials sorted by homological
-    degree then quantum degree, both ascending.
-
-    Accepts {(h, q): dim} or {h: dim} tables.
-    """
-    terms = []
-    for key in sorted(dims):
-        d = dims[key]
-        if d == 0:
-            continue
-        if isinstance(key, tuple):
-            h, q = key
-            mono = _mono("t", h) + _mono("q", q)
-        else:
-            mono = _mono("t", key)
-        if not mono:
-            terms.append(str(d))
-        elif d == 1:
-            terms.append(mono)
-        else:
-            terms.append(f"{d}*{mono}")
-    return " + ".join(terms) if terms else "0"
-
-
-def _mono(var: str, e: int) -> str:
-    if e == 0:
-        return ""
-    if e == 1:
-        return var
-    return f"{var}^{e}" if e >= 0 else f"{var}^({e})"
-
-
 def graded_euler(dims: dict[tuple[int, int], int]) -> dict[int, int]:
     """Coefficients of sum_h (-1)^h q^j dim^{h,j} as {exponent: coeff}."""
     poly: dict[int, int] = {}

@@ -80,14 +80,14 @@ bit operations on small ints.
 A matching is held in one form, its key: the frozenset of its (point,
 partner) pairs, both ways round.  Many generators share one, and one
 attachment rewires each distinct matching once and builds the lifting
-pieces once per pair of step tuples.  The surface normalizations of one
-attachment (gluing, capping, lifting and counting boundary cycles) are
-memoized on unit coefficients, and lifting and capping renormalize only the
-parts they touch.  All these tables live in a _SurfaceMemo that each attach
+pieces once for each pair of matchings a row lifts between, per smoothing.
+The surface normalizations of one attachment (gluing, capping, lifting and
+counting boundary cycles) are memoized on unit coefficients, and lifting
+and capping renormalize only the parts they touch.  All these tables live in a _SurfaceMemo that each attach
 or join creates and drops: entries repeat heavily within one step, while a
 memo kept for a whole scan would grow with it.  A step has two halves.  The
 lift consumes the complex it reads: it pops each old row as it lifts it, and
-the old generators go when it returns.  The reduction first drops the four
+the old generators go when it returns.  The reduction first drops the three
 tables that only the lift reads, then deloops and eliminates, so at the
 step's peak the new complex and the gluing, capping and cycle tables are all
 that is alive.  The surface maps add each memoized result, times its
@@ -131,13 +131,13 @@ class _SurfaceMemo:
     (source, target) pair of matchings to the point masks of their cycles;
     these three live for the whole step.  A caller scales a (partition, c0)
     result by its own coefficient, which is exact because p is prime and
-    neither factor is zero.  Four more tables live only for the lift, and
+    neither factor is zero.  Three more tables live only for the lift, and
     _Scan._reduce empties them before it deloops: rewired maps a matching
-    to what the crossing makes of it, pieces maps a pair of step tuples to
-    its lifting pieces, lifts maps a (matching, matching, eps) triple to its
-    pieces, the cycles of the lifted matchings and a table of lifted
-    partitions, and lifted keeps that table per (pieces, cycles) for every
-    pair that shares them: a lifted partition depends on nothing else.
+    to what the crossing makes of it, lifts maps a (matching, matching,
+    eps) triple to its lifting pieces, the cycles of the lifted matchings
+    and a table of lifted partitions, and lifted keeps that table per
+    (pieces, cycles) for every pair that shares them: a lifted partition
+    depends on nothing else.
     """
 
     def __init__(self, th: Theory):
@@ -146,7 +146,6 @@ class _SurfaceMemo:
         self.capped: dict = {}
         self.cycles: dict = {}
         self.rewired: dict = {}
-        self.pieces: dict = {}
         self.lifts: dict = {}
         self.lifted: dict = {}
 
@@ -662,10 +661,7 @@ class _Scan:
             partitions and is shared by every pair with the same pieces and
             cycles."""
             sx, sy = rewired(kx)[eps], rewired(ky)[eps]
-            steps = (sx[1], sy[1])
-            pieces = memo.pieces.get(steps)
-            if pieces is None:
-                pieces = memo.pieces[steps] = _lift_pieces(*steps)
+            pieces = _lift_pieces(sx[1], sy[1])
             cycles = memo.cycles_of(sx[0], sy[0])
             table = memo.lifted.setdefault((pieces, cycles), {})
             hit = memo.lifts[(kx, ky, eps)] = (pieces, cycles, table)
@@ -736,7 +732,7 @@ class _Scan:
         deloop, eliminate and let every generator that can no longer end in
         the window go.  The open edges and scanned crossings are the step's
         own, already updated."""
-        for table in (memo.rewired, memo.pieces, memo.lifts, memo.lifted):
+        for table in (memo.rewired, memo.lifts, memo.lifted):
             table.clear()
         self._deloop_all(memo)
         self._eliminate_all(memo)
@@ -744,10 +740,15 @@ class _Scan:
             # the crossings still to attach can add at most one each to rawh
             lo, hi = self.window
             lo -= len(self.D.crossings) - len(self.scanned)
-            self._drop([gid for gid, g in self.gens.items() if not lo <= g.rawh <= hi])
+            gone = [gid for gid, g in self.gens.items() if not lo <= g.rawh <= hi]
+            for ref in self.tracks:
+                assert not self.d.get(ref, {}).keys() & gone, "a tracked row left the window"
+            self._drop(gone)
 
-    def _drop(self, gids: list) -> None:
-        """Delete the generators gids with their rows and columns."""
+    def _drop(self, gids) -> None:
+        """Delete the generators gids with their rows and columns: the one
+        unlink, for the window and an elimination's pivot pair.  Elimination
+        may cut a tracked row's entry, so the window guards tracked rows."""
         d, rin, gens = self.d, self.rin, self.gens
         for gid in gids:
             del gens[gid]
@@ -757,7 +758,6 @@ class _Scan:
                 if not col:
                     del rin[z]
             for w in rin.pop(gid, ()):
-                assert w not in self.tracks, "a tracked row left the window"
                 row = d[w]
                 del row[gid]
                 if not row:
@@ -833,7 +833,7 @@ class _Scan:
         p = self.p
         d, rin, gens = self.d, self.rin, self.gens
         scale = (-inv_mod(u, p)) % p
-        row_x = d.pop(x)
+        row_x = d[x]
         del row_x[y]
         ins = sorted(rin.pop(y) - {x})
         outs = [(w, row_x[w], gens[w].key, gens[w].rawq) for w in sorted(row_x)]
@@ -856,22 +856,7 @@ class _Scan:
                     rin[w].discard(z)
             if not row:
                 del d[z]
-        for w, *_ in outs:
-            col = rin[w]
-            col.discard(x)
-            if not col:
-                del rin[w]
-        for w in rin.pop(x, ()):
-            row = d[w]
-            del row[x]
-            if not row:
-                del d[w]
-        for z in d.pop(y, ()):
-            col = rin[z]
-            col.discard(y)
-            if not col:
-                del rin[z]
-        del gens[x], gens[y]
+        self._drop((x, y))
         return rewritten
 
     def _cost(self, x: int, y: int) -> int:

@@ -91,7 +91,7 @@ def test_cable_word_block():
 def test_closure_unknot_one_crossing():
     D = closure(1)
     D.validate()
-    assert D.n_crossings == 1 and len(D.edges) == 2
+    assert len(D.crossings) == 1 and len(D.edges) == 2
     assert len(D.components()) == 1
     assert D.writhe() == 1 and D.n_minus() == 0
 
@@ -99,7 +99,7 @@ def test_closure_unknot_one_crossing():
 def test_closure_loops_only():
     D = closure(strands=3)
     D.validate()
-    assert D.n_crossings == 0 and len(D.loops) == 3
+    assert len(D.crossings) == 0 and len(D.loops) == 3
     assert len(D.components()) == 3
 
 
@@ -228,7 +228,7 @@ def test_disjoint_union_and_free_loop():
     B = closure(1, 1)
     D = A.disjoint_union(B)
     D.validate()
-    assert D.n_crossings == 5 and len(D.components()) == 3
+    assert len(D.crossings) == 5 and len(D.components()) == 3
     E = A.with_free_loop()
     E.validate()
     assert len(E.components()) == 2
@@ -241,7 +241,7 @@ def test_add_kink():
         K = T.add_kink(e, sign)
         K.validate()
         assert K.writhe() == 3 + sign
-        assert K.n_crossings == 4
+        assert len(K.crossings) == 4
         assert len(K.components()) == 1
     K = T.add_kink(e, 1)
     KK = K.add_kink(min(K.edges), -1)

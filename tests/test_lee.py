@@ -97,7 +97,7 @@ def test_windowed_classes_match_the_full_scan(th):
         assert {o: (c.h, c.level) for o, c in together.items()} == full
         for o in ors:
             alone = canonical_classes(D, [o], base_flips=base, theory=th)[o]
-            assert (alone.h, alone.level) == full[o], (D.n_crossings, base, o)
+            assert (alone.h, alone.level) == full[o], (len(D.crossings), base, o)
             compared += 1
     assert compared >= 20
 

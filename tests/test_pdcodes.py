@@ -5,7 +5,7 @@ import pytest
 from khovanov_cables.braids import BraidWord, braid_closure
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import khovanov
-from khovanov_cables.invariants import determinant_from_dims, poincare_text
+from khovanov_cables.invariants import determinant_from_dims
 from khovanov_cables.pdcodes import PRETZEL_7_5, knot_5_2, read_pd, write_pd
 
 # frozen mod-3 table of the negative twist knot with seven crossings
@@ -77,9 +77,3 @@ def test_twist_knot_table_and_determinant():
 def test_twist_knot_agrees_with_braid_presentation():
     B = braid_closure(BraidWord(3, (1, 1, 1, 2, -1, 2))).mirror()
     assert table(B) == TWIST_KNOT_TABLE
-
-
-def test_poincare_text_shape():
-    txt = poincare_text({(0, -1): 1, (0, 1): 1})
-    assert txt == "q^(-1) + q"
-    assert poincare_text({(2, 5): 3, (-1, -3): 1}) == "t^(-1)q^(-3) + 3*t^2q^5"

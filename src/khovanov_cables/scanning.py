@@ -79,21 +79,23 @@ bit operations on small ints.
 
 A matching is held in one form, its key: the frozenset of its (point,
 partner) pairs, both ways round.  Many generators share one, and one
-attachment rewires each distinct matching once and builds the lifting
-pieces once for each pair of matchings a row lifts between, per smoothing.
-The surface normalizations of one attachment (gluing, capping, lifting and
-counting boundary cycles) are memoized on unit coefficients, and lifting
-and capping renormalize only the parts they touch.  All these tables live in a _SurfaceMemo that each attach
-or join creates and drops: entries repeat heavily within one step, while a
-memo kept for a whole scan would grow with it.  A step has two halves.  The
-lift consumes the complex it reads: it pops each old row as it lifts it, and
-the old generators go when it returns.  The reduction first drops the three
-tables that only the lift reads, then deloops and eliminates, so at the
-step's peak the new complex and the gluing, capping and cycle tables are all
-that is alive.  The surface maps add each memoized result, times its
-coefficient, straight into the target morphism; delooping and elimination
-edit the rows and columns in place; and a part that meets a unit label keeps
-the other label, with no algebra.
+attachment rewires each distinct matching once and builds the lifting pieces
+once for each pair of matchings a row lifts between, per smoothing.  The
+surface normalizations of one attachment (gluing, capping, lifting and
+counting boundary cycles) are memoized on unit coefficients, and lifting and
+capping renormalize only the parts they touch.  A stored part's label is
+monic, its first nonzero entry 1, and the scalar moves into the coefficient,
+so one surface has one key.  All these tables live in a _SurfaceMemo that
+each attach or join creates and drops: entries repeat heavily within one
+step, while a memo kept for a whole scan would grow with it.  A step has two
+halves.  The lift consumes the complex it reads: it pops each old row as it
+lifts it, and the old generators go when it returns.  The reduction first
+drops the three tables that only the lift reads, then deloops and
+eliminates, so at the step's peak the new complex and the gluing, capping
+and cycle tables are all that is alive.  The surface maps add each memoized
+result, times its coefficient, straight into the target morphism; delooping
+and elimination edit the rows and columns in place; and a part that meets a
+unit label keeps the other label, with no algebra.
 """
 
 from __future__ import annotations
@@ -160,6 +162,15 @@ class _SurfaceMemo:
 # part and partition normalization
 
 
+def _monic(label, p: int) -> tuple:
+    """(c, monic): a nonzero label is c times the monic one, whose first
+    nonzero entry is 1."""
+    a, b = label
+    if a == 0:
+        return b, (0, 1)
+    return a, (label if a == 1 else (1, b * inv_mod(a, p) % p))
+
+
 def _cycles(ks: frozenset, kt: frozenset) -> tuple:
     """Point masks of the cycles that two matchings make together."""
     src, tgt = dict(ks), dict(kt)
@@ -192,7 +203,8 @@ def _strand_circles(points: int, cycles: tuple) -> int:
 
 
 def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
-    """Genus-normalize working parts and fold closed ones into a unit scalar.
+    """Genus-normalize working parts, make their labels monic, and fold the
+    labels' scalars and the closed parts into a unit scalar.
 
     cycles are those of the result's matchings.  kept holds stored parts,
     already normalized, that join the result as they are.  Returns
@@ -218,6 +230,8 @@ def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
             if coeff == 0:
                 return None, 0
             continue
+        c, label = _monic(label, p)
+        coeff = coeff * c % p
         frozen.append((points, cs, ct, label, 2 - beta))
     return frozenset(frozen), coeff
 
@@ -313,8 +327,9 @@ def _map(m: Morphism, table: dict, p: int, make, *args) -> Morphism:
 def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
     """Cap the source circle bit cs or the target circle bit ct.
 
-    A disk on a boundary circle keeps the part's genus, so only a part that
-    closes up changes the scalar, by its counit.
+    A disk on a boundary circle keeps the part's genus, so the scalar
+    changes only by the counit of a part that closes up, or by the one that
+    makes the capped part's label monic.
     """
     th = memo.th
     kept = []
@@ -333,8 +348,9 @@ def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
     pcs &= ~cs
     pct &= ~ct
     if points or pcs or pct:
+        c0, label = _monic(label, th.p)
         kept.append((points, pcs, pct, label, chi + 1))
-        return frozenset(kept), 1
+        return frozenset(kept), c0
     c0 = th.counit(label)
     return (frozenset(kept), c0) if c0 else (None, 0)
 

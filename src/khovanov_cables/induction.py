@@ -456,6 +456,12 @@ def audit_entry(
     lee_scan_limit: int,
     tables: dict,
 ) -> EntryRecord:
+    if len(base.closure_cycles()) != 1:
+        raise ValueError("companion must close to a knot")
+    if writhe != base.writhe:
+        raise ValueError(f"writhe {writhe} is not the companion's {base.writhe}")
+    if not writhe <= e.framing <= 0:
+        raise ValueError(f"{e.label()}: framing must lie in {writhe}..0")
     t0 = time.monotonic()
     problems: list[str] = []
     word = entry_word(base, e)
@@ -637,8 +643,6 @@ def audit_family(
     entries.  Entries word-equal to an earlier one inherit its verdict.
     Entries of at most LEE_SCAN_LIMIT crossings also get a Lee scan.
     """
-    if len(base.closure_cycles()) != 1:
-        raise ValueError("companion must close to a knot")
     w = base.writhe
     if tables is None:
         tables = {}

@@ -17,7 +17,9 @@ from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
 from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
-from khovanov_cables.induction import LadderEntry, audit_family, inclusion_report, ladder, reversal_span
+from khovanov_cables.induction import (
+    LadderEntry, audit_entry, audit_family, inclusion_report, ladder, reversal_span,
+)
 from khovanov_cables.invariants import determinant_from_dims
 from khovanov_cables.lee import s_invariant
 from khovanov_cables.pdcodes import read_pd, write_pd
@@ -107,6 +109,11 @@ BAD_INPUT = {
     "full_twist-negative-strands": ("full_twist", (-3,)),
     "random_braid-no-strands": ("random_braid", (Random(0), 0, 3)),
     "random_braid-negative-length": ("random_braid", (Random(0), 3, -1)),
+    "audit_family-companion-not-a-knot": ("audit_family", (BraidWord(2, (-1, -1)), "hopf", 0)),
+    "audit_entry-companion-not-a-knot": ("audit_entry", (BraidWord(2, (-1, -1)), LadderEntry(-2, 0, 0, 0), -2, 60, 12, {})),
+    "audit_entry-writhe-not-the-companions": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(0, 1, 0, 1), 0, 60, 12, {})),
+    "audit_entry-framing-below-writhe": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(-3, 0, 0, 0), -2, 60, 12, {})),
+    "audit_entry-framing-above-zero": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(1, 0, 0, 0), -2, 60, 12, {})),
 }
 
 

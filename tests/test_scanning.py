@@ -407,8 +407,7 @@ def test_the_cable_scan_does_the_pinned_work(monkeypatch):
     # the Khovanov mod 3 scan of the 2-cable of T(2,-7) makes exactly these
     # surface calls and eliminations: a change to how entries are stored or
     # edited must not change which compositions and caps the elimination
-    # sequence needs.  Monic part labels give each surface one key, which
-    # took the counts from 22 104 compose and 45 998 mor_cap calls to these
+    # sequence needs
     counts = {"compose": 0, "mor_cap": 0, "_eliminate": 0}
 
     def counted(owner, name):

@@ -166,9 +166,7 @@ def _monic(label, p: int) -> tuple:
     """(c, monic): a nonzero label is c times the monic one, whose first
     nonzero entry is 1."""
     a, b = label
-    if a == 0:
-        return b, (0, 1)
-    return a, (label if a == 1 else (1, b * inv_mod(a, p) % p))
+    return (b, (0, 1)) if a == 0 else (a, (1, b * inv_mod(a, p) % p))
 
 
 def _cycles(ks: frozenset, kt: frozenset) -> tuple:
@@ -230,8 +228,9 @@ def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
             if coeff == 0:
                 return None, 0
             continue
-        c, label = _monic(label, p)
-        coeff = coeff * c % p
+        if label[0] != 1 and label != (0, 1):
+            c, label = _monic(label, p)
+            coeff = coeff * c % p
         frozen.append((points, cs, ct, label, 2 - beta))
     return frozenset(frozen), coeff
 
@@ -348,7 +347,9 @@ def _cap(partition: Partition, cs: int, ct: int, cap_label, memo: _SurfaceMemo):
     pcs &= ~cs
     pct &= ~ct
     if points or pcs or pct:
-        c0, label = _monic(label, th.p)
+        c0 = 1
+        if label[0] != 1 and label != (0, 1):
+            c0, label = _monic(label, th.p)
         kept.append((points, pcs, pct, label, chi + 1))
         return frozenset(kept), c0
     c0 = th.counit(label)

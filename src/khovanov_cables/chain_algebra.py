@@ -393,18 +393,18 @@ class ScalarComplex:
     def filtration_level(self, vec: Vec) -> int | None:
         """Largest Q with vec in span{q >= Q} + boundaries; None if vec bounds.
 
-        vec must be a cycle concentrated in a single homological degree.
-        The boundaries are put in echelon form over the degree's generators
-        ordered by q ascending, so clearing vec on the pivots leaves the
-        representative whose lowest q is as high as it can be: that q is
-        the level.
+        vec must be a cycle concentrated in a single homological degree;
+        any other vector raises ValueError.  The boundaries are put in
+        echelon form over the degree's generators ordered by q ascending,
+        so clearing vec on the pivots leaves the representative whose
+        lowest q is as high as it can be: that q is the level.
         """
         if not vec:
             return None
         hs = {self.grading[g][0] for g in vec}
-        assert len(hs) == 1, "filtration level needs an h-homogeneous cycle"
+        if len(hs) != 1 or self.apply_d(vec):
+            raise ValueError("filtration level needs an h-homogeneous cycle")
         h = hs.pop()
-        assert not self.apply_d(vec), "filtration level needs a cycle"
         tgts = sorted(self.gens_at(h), key=lambda g: self.grading[g][1])
         R, pivots = row_reduce(self.dense_block(self.gens_at(h - 1), tgts).T, self.p)
         b = [vec.get(g, 0) for g in tgts]
@@ -447,13 +447,15 @@ class HomologySpace:
     def coords(self, vecs: list[Vec]) -> Matrix:
         """Classes of cycles in the representative basis, one column each.
 
-        All the cycles are solved against the frame in one reduction.
+        All the cycles are solved against the frame in one reduction; a
+        vector that is not a cycle in this degree raises ValueError.
         """
         if not vecs:
             return Matrix.zeros(self.dim, 0)
         B = Matrix([[v.get(g, 0) for v in vecs] for g in self.tgts], len(vecs))
         x = solve(self._frame, B, self.cx.p)
-        assert x is not None, "vector is not a cycle in this degree"
+        if x is None:
+            raise ValueError("vector is not a cycle in this degree")
         del x[: self.boundary_rank]
         return x
 

@@ -15,7 +15,8 @@ state's first id plus its labels' offset.  The edge maps and
 `canonical_cycle` find a generator by that offset arithmetic, with each
 state's circle positions computed once.
 The edge pairs that each crossing's two smoothings join are read once, and
-every state's circles are built from them.
+every state's circles are built from them; the canonical labels come from
+one checkerboard colouring of the diagram's faces, not from the state.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import product
 from .chain_algebra import ScalarComplex, Vec
 from .diagrams import LinkDiagram, oriented_smoothing, smoothing_arcs
 from .frobenius import Theory
-from .planar import Circle, ResolvedState, circles_of_arcs
+from .planar import Circle, circles_of_arcs, parities
 
 State = tuple[int, ...]
 
@@ -135,7 +136,8 @@ class CubeComplex:
     def canonical_cycle(self, flips: frozenset[int] = frozenset()) -> Vec:
         """Deformed-theory cycle of the orientation `flips`: at its oriented
         resolution, the tensor of the root labels picked by each circle's
-        parity under that orientation."""
+        parity under that orientation, which `planar.parities` reads off
+        any of the circle's edges (or its loop)."""
         th = self.theory
         rev_edges, rev_loops = self.D.reversed_parts(flips)
         bits = tuple(oriented_smoothing(self.D.crossings[c], rev_edges) for c in self.cids)
@@ -143,10 +145,10 @@ class CubeComplex:
         for cid in self.cids:
             pair = {circle_of[e] for e, _ in self.D.crossings[cid].slots}
             assert len(pair) == 2, "oriented smoothing produced a self-joined circle"
-        rs = ResolvedState(self.D, dict(zip(self.cids, bits)))
+        edges, loops = parities(self.D, rev_edges, rev_loops)
         labels = [
-            th.canonical_label(rs.parity(k, rev_edges, rev_loops))
-            for k in range(len(rs.circles))
+            th.canonical_label(edges[min(c.edges)] if c.loop is None else loops[c.loop])
+            for c in self.circles[bits]
         ]
         vec: Vec = {}
         for choice in product((0, 1), repeat=len(labels)):

@@ -30,9 +30,11 @@ Five edits return a new diagram and leave the source as it is: `mirror`
 They carry existing placement darts only through
 `LinkDiagram._move_darts`; `_dart_map` turns an edit's edge map into the
 darts it moves. A crossing's smoothings are never built as diagrams:
-`planar.ResolvedState` reads the circles of a whole state from the
-embedding, and `induction.smoothed_component_count` the components left
-by smoothing one crossing.
+`planar.circles_of_arcs` reads the circles of a whole state from the
+edge pairs its smoothings join, `planar.parities` their canonical labels
+from one checkerboard colouring of the faces, and
+`induction.smoothed_component_count` the components left by smoothing
+one crossing.
 
 A dart is (edge_id, toward): the direction walking toward ends[toward].
 The face "left of" a dart is the face swept counterclockwise into the
@@ -347,8 +349,16 @@ class LinkDiagram:
         comps_b: set[int],
         flips: frozenset[int] = frozenset(),
     ) -> int:
-        """Total linking number between two disjoint sets of components."""
-        assert not (comps_a & comps_b)
+        """Total linking number between two disjoint sets of components.
+
+        Raises ValueError when the sets overlap or name a component the
+        diagram lacks.
+        """
+        if comps_a & comps_b or not comps_a | comps_b <= set(range(len(self.components()))):
+            raise ValueError(
+                f"component sets {sorted(comps_a)} and {sorted(comps_b)} overlap"
+                " or name a component the diagram lacks"
+            )
         self._check_flips(flips)
         total = 0
         for (a, b), (pos, neg) in self.crossing_table().pairs.items():
@@ -451,6 +461,8 @@ class LinkDiagram:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        """Assert that the diagram's parts fit together; raise ValueError
+        when a piece's rotation system is not planar."""
         from . import planar
 
         for c, x in self.crossings.items():
@@ -466,7 +478,7 @@ class LinkDiagram:
         self.components()  # asserts coherent directions
         pieces = self.pieces()
         assert set(self.piece_data) == set(pieces), "placement data out of sync"
-        emb = planar.Embedding(self)
+        face = planar.face_of(self)
         for key, grp in pieces.items():
             V = len(grp)
             piece_edges = [
@@ -475,8 +487,9 @@ class LinkDiagram:
                 if x.ends[0][0] in grp
             ]
             E = len(piece_edges)
-            F = len({emb.face_of[d] for e in piece_edges for d in ((e, 0), (e, 1))})
-            assert V - E + F == 2, f"piece {key} is not planar: V-E+F = {V - E + F}"
+            F = len({face[d] for e in piece_edges for d in ((e, 0), (e, 1))})
+            if V - E + F != 2:
+                raise ValueError(f"piece {key} is not planar: V-E+F = {V - E + F}")
         for key, (own, host) in self.piece_data.items():
             assert own[0] in self.edges
             if host is not None:

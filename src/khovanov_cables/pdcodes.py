@@ -5,8 +5,9 @@ in counterclockwise order starting from the incoming under-strand. Labels
 run 1..2n and each appears exactly twice. Edge directions are recovered by
 propagating the under-strand constraints (label a arrives, label c leaves)
 through the over-strands; a diagram where some component never passes
-under cannot be oriented this way and is rejected. Crossing-free loop
-components are not representable in a PD code.
+under cannot be oriented this way and is rejected, as is a code whose
+rotation system is not planar (some piece has V - E + F != 2).
+Crossing-free loop components are not representable in a PD code.
 
 The outer face is not part of the format. Parsed pieces are placed side
 by side in the unbounded region, with each piece's own outer dart chosen

@@ -26,8 +26,11 @@ one more row of the differential, keyed by a reference id that is never a
 generator: its entries are surfaces from a reference tangle (the partially
 assembled resolution picked out by an orientation) into the generators.
 Attaching lifts the row like any other and caps each reference circle that
-closes with the canonical label of the corresponding circle of the fully
-resolved diagram; delooping and elimination treat it as an incoming row.
+closes with its canonical label, read from any of its edges (or its loop):
+`planar.parities` gives every edge's and loop's parity from one
+checkerboard colouring of the diagram, so no circle of the oriented
+resolution is ever built.  Delooping and elimination treat the row as an
+incoming row.
 The reference id is no generator, so it is never a pivot.
 
 A split scan marks every generator with its smoothing (its side) at one
@@ -108,7 +111,7 @@ from typing import Sequence
 from .chain_algebra import ScalarComplex, Vec, eliminate_cheapest, inv_mod
 from .diagrams import LinkDiagram, smoothing_arcs
 from .frobenius import Theory
-from .planar import ResolvedState
+from .planar import parities
 
 # A connected surface component: (points, source circles, target circles,
 # algebra label, Euler characteristic), the first three bitmasks.  What a
@@ -960,19 +963,15 @@ class _Scan:
 
 
 def _make_track(D: LinkDiagram, th: Theory, flips: frozenset, ref: int) -> _Track:
-    ro = D.oriented_smoothings(flips)
-    st = ResolvedState(D, ro)
-    rev = D.reversed_parts(flips)
-    labels_by_eid: dict = {}
-    loop_labels: dict = {}
-    for idx, circ in enumerate(st.circles):
-        lab = th.canonical_label(st.parity(idx, *rev))
-        if circ.loop is not None:
-            loop_labels[circ.loop] = lab
-        else:
-            for eid in circ.edges:
-                labels_by_eid[eid] = lab
-    return _Track(flips, ref, ro, labels_by_eid, loop_labels)
+    edges, loops = parities(D, *D.reversed_parts(flips))
+    labels = [th.canonical_label(k) for k in (0, 1)]
+    return _Track(
+        flips,
+        ref,
+        D.oriented_smoothings(flips),
+        {e: labels[k] for e, k in edges.items()},
+        {lid: labels[k] for lid, k in loops.items()},
+    )
 
 
 def scan_complex(

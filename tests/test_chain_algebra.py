@@ -472,7 +472,7 @@ def test_homology_space_and_induced_matrix():
     zero = induced_matrix(lambda v: {}, h0, h0)
     assert not arr(zero).any()
     assert h0.coords([]).shape == (1, 0)
-    with pytest.raises(AssertionError, match="not a cycle"):
+    with pytest.raises(ValueError, match="not a cycle"):
         h0.coords([rep, {a: 1}])
 
 

@@ -17,7 +17,7 @@ from khovanov_cables.braids import (
     row_word,
 )
 from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
-from khovanov_cables.diagrams import Crossing, oriented_smoothing
+from khovanov_cables.diagrams import Crossing, oriented_smoothing, smoothing_arcs, smoothing_pairs
 from khovanov_cables.frobenius import khovanov
 from khovanov_cables.induction import translation_match
 from khovanov_cables.lee import s_invariant
@@ -291,18 +291,29 @@ def placement(D):
     return D.crossings, D.edges, D.loops, D.piece_data
 
 
-def loop_nesting(D):
-    rs = planar.ResolvedState(D, D.oriented_smoothings())
-    return {l: rs.nesting[i] for l, i in rs.circle_of_loop.items()}
+def host_face_edges(D):
+    """Per loop, the edges bounding its host face; None in the outer face."""
+    face = planar.face_of(D)
+    return {
+        lid: None if x.host is None else {e for (e, _), f in face.items() if f == face[x.host]}
+        for lid, x in D.loops.items()
+    }
+
+
+def loop_parities(D):
+    return planar.parities(D, frozenset(), frozenset())[1]
 
 
 def test_reverse_all_is_an_involution_with_placement():
+    hosted = 0
     for D in placed_diagrams():
         R = D.reverse_all()
         R.validate()
         # flipped darts keep their geometric side, so loops stay put
-        assert loop_nesting(R) == loop_nesting(D)
+        assert host_face_edges(R) == host_face_edges(D)
+        hosted += sum(f is not None for f in host_face_edges(D).values())
         assert placement(R.reverse_all()) == placement(D)
+    assert hosted >= 10
 
 
 def test_kinks_carry_placement_darts():
@@ -312,7 +323,7 @@ def test_kinks_carry_placement_darts():
         darts = [x.host for x in D.loops.values()]
         darts += [d for pair in D.piece_data.values() for d in pair]
         darts = [d for d in darts if d is not None]
-        s, nesting = s_invariant(D), loop_nesting(D)
+        s, loops = s_invariant(D), loop_parities(D)
         for eid in sorted({e for e, _ in darts}):
             for sign in (1, -1):
                 K = D.add_kink(eid, sign)
@@ -329,7 +340,7 @@ def test_kinks_carry_placement_darts():
                     for k, (own, host) in D.piece_data.items()
                 }
                 assert s_invariant(K) == s
-                assert loop_nesting(K) == nesting
+                assert loop_parities(K) == loops
     assert with_loops >= 20 and kinks >= 100
 
 
@@ -359,7 +370,43 @@ def test_kink_cone_blocks_are_its_smoothings():
     assert_blocks(closure(1), (TWO_CIRCLES, (0, 1)), (UNKNOT, (1, 2)))
 
 
-# -- resolved-state planar data -------------------------------------------
+# -- canonical labels from the checkerboard colouring ----------------------
+
+
+def state_circles(D, smoothings):
+    arcs = [a for c, x in D.crossings.items() for a in smoothing_arcs(x, smoothings[c])]
+    return planar.circles_of_arcs(D, arcs)
+
+
+def circle_parities(D, flips=frozenset()):
+    """Parity of each circle of the oriented resolution, read off its lowest
+    edge (or its loop), in circles_of_arcs order."""
+    edges, loops = planar.parities(D, *D.reversed_parts(flips))
+    return [
+        edges[min(c.edges)] if c.loop is None else loops[c.loop]
+        for c in state_circles(D, D.oriented_smoothings(flips))
+    ]
+
+
+def circle_walks(D, smoothings):
+    """Each edged circle of a state as the darts met walking once round it."""
+    partner = {}
+    for c, x in D.crossings.items():
+        for sa, sb in smoothing_pairs(x.over_diag, smoothings[c]):
+            partner[(c, sa)], partner[(c, sb)] = sb, sa
+    seen, walks = set(), []
+    for eid in sorted(D.edges):
+        dart, walk = (eid, 1), []
+        while dart[0] not in seen:
+            seen.add(dart[0])
+            walk.append(dart)
+            c, s = D.end_of_dart(dart)
+            e, idx = D.crossings[c].slots[partner[(c, s)]]
+            dart = (e, 1 - idx)
+        if walk:
+            assert dart == walk[0], "a circle walk did not close up"
+            walks.append(walk)
+    return walks
 
 
 def test_trefoil_state_circles():
@@ -367,8 +414,7 @@ def test_trefoil_state_circles():
     cids = sorted(D.crossings)
     counts = {}
     for bits in product((0, 1), repeat=3):
-        rs = planar.ResolvedState(D, dict(zip(cids, bits)))
-        counts[bits] = len(rs.circles)
+        counts[bits] = len(state_circles(D, dict(zip(cids, bits))))
     assert counts[(0, 0, 0)] == 2
     assert counts[(1, 1, 1)] == 3
     for bits, n in counts.items():
@@ -377,62 +423,82 @@ def test_trefoil_state_circles():
 
 
 def test_trefoil_oriented_state_parities():
-    D = closure(1, 1, 1)
-    sm = D.oriented_smoothings()
-    rs = planar.ResolvedState(D, sm)
-    assert rs.nesting == [0, 1]
-    assert [rs.parity(i, frozenset(), frozenset()) for i in range(2)] == [0, 1]
-    # nested circles of one orientation class always alternate parity
-    assert [rs.cw_indicator(i, frozenset(), frozenset()) for i in range(2)] == [0, 0]
+    # two nested circles, both counterclockwise: nesting 0 and 1
+    assert circle_parities(closure(1, 1, 1)) == [0, 1]
 
 
 def test_hopf_oriented_state_parities():
-    D = closure(1, 1)
-    rs = planar.ResolvedState(D, D.oriented_smoothings())
-    assert len(rs.circles) == 2
-    assert sorted(rs.parity(i, frozenset(), frozenset()) for i in range(2)) == [0, 1]
+    assert circle_parities(closure(1, 1)) == [0, 1]
 
 
 def test_nested_loops_and_pieces_depths():
-    D = closure(1, 1, 4, 4, strands=6)
-    rs = planar.ResolvedState(D, D.oriented_smoothings())
-    # identity smoothing: columns nest west to east; untouched strands sit
-    # in the face of the nearest edged column west of them
-    assert rs.nesting == [0, 1, 2, 3, 2, 4]
+    # identity smoothing: columns nest west to east (nesting 0, 1, 2, 3, 2,
+    # 4); untouched strands sit in the face of the nearest edged column
+    # west of them
+    assert circle_parities(closure(1, 1, 4, 4, strands=6)) == [0, 1, 0, 1, 0, 0]
+    # a piece hosted in a face at depth 3 (nesting 1, 0, 2, then 3, 4) and
+    # a loop at depth 5: both host faces have colour 1
+    assert circle_parities(closure(1, 2, 4, strands=6)) == [1, 0, 0, 1, 0, 1]
 
 
 def test_loop_parity_matches_edged_presentation():
-    # unlink beside a trefoil, once as a loop and once as a closure strand
-    A = closure(1, 1, 1, strands=3)  # third strand untouched -> loop
-    rsA = planar.ResolvedState(A, A.oriented_smoothings())
-    loop_idx = next(
-        i for i, c in enumerate(rsA.circles) if c.loop is not None
-    )
-    assert rsA.nesting[loop_idx] == 2
-    assert rsA.parity(loop_idx, frozenset(), frozenset()) == 0
+    # unlink beside a trefoil, once as a loop and once as a closure strand:
+    # the loop (third strand, nesting 2) reads parity 0
+    A = closure(1, 1, 1, strands=3)
+    (lid,) = A.loops
+    assert circle_parities(A) == [0, 1, 0]
+    assert loop_parities(A) == {lid: 0}
 
 
 def test_reversal_flips_cw_not_nesting():
+    # reversing a circle flips its clockwise indicator, not its nesting
     D = closure(1, 1, 1)
-    rs = planar.ResolvedState(D, D.oriented_smoothings())
-    base = [rs.cw_indicator(i, frozenset(), frozenset()) for i in range(2)]
-    flipped = [rs.cw_indicator(i, *D.reversed_parts(frozenset({0}))) for i in range(2)]
-    assert base != flipped
-    assert rs.nesting == [0, 1]
+    assert circle_parities(D, frozenset({0})) == [1 - k for k in circle_parities(D)]
 
 
 def test_state_sweep_invariants():
+    # in every state, one colour lies left of a circle all the way round
+    # and the other right of it: smoothing welds sectors of one colour
     rng = Random(23)
+    walks = 0
     for _ in range(15):
-        w = random_braid(rng, rng.randint(2, 4), rng.randint(1, 5))
-        D = braid_closure(w)
+        D = braid_closure(random_braid(rng, rng.randint(2, 4), rng.randint(1, 5)))
+        left = planar.checkerboard(D)
         cids = sorted(D.crossings)
         for bits in product((0, 1), repeat=len(cids)):
-            rs = planar.ResolvedState(D, dict(zip(cids, bits)))
-            n = len(rs.circles)
-            assert all(d >= 0 for d in rs.nesting)
-            for i in range(n):
-                assert rs.parity(i, frozenset(), frozenset()) in (0, 1)
+            for walk in circle_walks(D, dict(zip(cids, bits))):
+                assert {left[d] for d in walk} == {left[walk[0]]}
+                assert {left[(e, 1 - t)] for e, t in walk} == {1 - left[walk[0]]}
+                walks += 1
+    assert walks > 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_rasmussen_alternation_in_every_orientation(rnd):
+    # closures with loops and split pieces: in every orientation, each edge
+    # of a circle of the oriented resolution reads the circle's parity, and
+    # the two circles at each crossing differ in parity
+    D = braid_closure(random_braid(rnd, rnd.randint(1, 5), rnd.randint(1, 6)))
+    if rnd.random() < 0.5:
+        D = D.with_free_loop(rnd.random() < 0.5)
+    if rnd.random() < 0.5:
+        D = closure(1, 1, 1, strands=3).disjoint_union(D)
+    if D.edges and rnd.random() < 0.5:
+        D = D.add_kink(rnd.choice(sorted(D.edges)), rnd.choice((1, -1)))
+    k = len(D.components())
+    for flips in product((0, 1), repeat=k):
+        flips = frozenset(i for i in range(k) if flips[i])
+        edges, loops = planar.parities(D, *D.reversed_parts(flips))
+        circles = state_circles(D, D.oriented_smoothings(flips))
+        circle_of = {}
+        for i, c in enumerate(circles):
+            assert c.loop is not None or len({edges[e] for e in c.edges}) == 1
+            circle_of.update((e, i) for e in c.edges)
+        for x in D.crossings.values():
+            a, b = {circle_of[e] for e, _ in x.slots}
+            assert edges[min(circles[a].edges)] != edges[min(circles[b].edges)]
+        assert set(loops) == set(D.loops)
 
 
 @settings(max_examples=40, deadline=None)

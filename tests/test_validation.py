@@ -13,7 +13,7 @@ from khovanov_cables.braids import (
     BraidWord, braid_closure, cable_word, count_inter_crossings, full_twist, random_braid, row_word,
 )
 from khovanov_cables.cabling import CableMeta, cable_of_braid, orientation_flips
-from khovanov_cables.chain_algebra import Matrix, product_is_zero, solve
+from khovanov_cables.chain_algebra import HomologySpace, Matrix, ScalarComplex, product_is_zero, solve
 from khovanov_cables.cobordism import cone_from_cube, cone_over_crossing
 from khovanov_cables.cube import CubeComplex
 from khovanov_cables.frobenius import Theory, khovanov, lee_deformation
@@ -59,6 +59,14 @@ def test_scan_rejects_orientations_naming_a_missing_component():
 TRIO = braid_closure(BraidWord(2, (1, 1, 1)))
 TRIO_LEE = CubeComplex(TRIO, lee_deformation(3))
 THREE_STRANDS = BraidWord(3, (1,))
+# three components, pairwise linked
+CHAIN = braid_closure(BraidWord(3, (1, 1, 2, 2)))
+# generators 0 and 1 in h = 0, generator 2 in h = 1; d(1) = 2
+EDGE = ScalarComplex(3)
+for h in (0, 0, 1):
+    EDGE.add_generator(h, 0)
+EDGE.add_entry(1, 2, 1)
+EDGE_H0 = HomologySpace(EDGE, 0)
 
 # case id -> (callable name, args): each must raise ValueError, also under
 # python -O; a dotted name is read attribute by attribute from this module.
@@ -114,6 +122,12 @@ BAD_INPUT = {
     "audit_entry-writhe-not-the-companions": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(0, 1, 0, 1), 0, 60, 12, {})),
     "audit_entry-framing-below-writhe": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(-3, 0, 0, 0), -2, 60, 12, {})),
     "audit_entry-framing-above-zero": ("audit_entry", (BraidWord(3, (-1, -2)), LadderEntry(1, 0, 0, 0), -2, 60, 12, {})),
+    "read_pd-not-planar": ("read_pd", ("PD[X[1,1,2,3], X[4,2,4,3]]",)),
+    "CHAIN.linking_number-sets-overlap": ("CHAIN.linking_number", ({0}, {0})),
+    "CHAIN.linking_number-missing-component": ("CHAIN.linking_number", ({0}, {7})),
+    "EDGE.filtration_level-not-a-cycle": ("EDGE.filtration_level", ({1: 1},)),
+    "EDGE.filtration_level-not-h-homogeneous": ("EDGE.filtration_level", ({0: 1, 2: 1},)),
+    "EDGE_H0.coords-not-a-cycle": ("EDGE_H0.coords", ([{1: 1}],)),
 }
 
 

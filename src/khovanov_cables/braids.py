@@ -50,14 +50,6 @@ class BraidWord:
     def writhe(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
 
-    @property
-    def n_plus(self) -> int:
-        return sum(1 for l in self.letters if l > 0)
-
-    @property
-    def n_minus(self) -> int:
-        return sum(1 for l in self.letters if l < 0)
-
     def permutation(self) -> list[int]:
         """perm[i] = column where the strand starting in column i ends up."""
         occ = list(range(self.strands))

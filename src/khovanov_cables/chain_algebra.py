@@ -448,10 +448,14 @@ class HomologySpace:
         """Classes of cycles in the representative basis, one column each.
 
         All the cycles are solved against the frame in one reduction; a
-        vector that is not a cycle in this degree raises ValueError.
+        vector that is not a cycle in this degree, or has support outside
+        it, raises ValueError.
         """
         if not vecs:
             return Matrix.zeros(self.dim, 0)
+        inside = set(self.tgts)
+        if any(c % self.cx.p and g not in inside for v in vecs for g, c in v.items()):
+            raise ValueError("vector has support outside this degree")
         B = Matrix([[v.get(g, 0) for v in vecs] for g in self.tgts], len(vecs))
         x = solve(self._frame, B, self.cx.p)
         if x is None:

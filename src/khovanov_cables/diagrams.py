@@ -9,19 +9,21 @@ and the base orientation of the link runs every edge tail to head.
 An orientation is chosen as a frozenset of flipped (reversed) component
 indices. `LinkDiagram.reversed_parts` is the one translation of flips into
 the edges and loops the orientation runs backward; everything downstream
-reads slot directions from those sets through `incoming`, and the oriented
-resolution through `oriented_smoothing`, which also checks that the
-directions are coherent at the crossing.  Signs, writhe, n± and linking
-numbers come from the diagram's `CrossingTable`, computed once (and reset
-with the component cache) from each crossing's two components and its
-sign under the base orientation.
+reads slot directions from those sets through `incoming`, and a crossing's
+oriented smoothing through `oriented_smoothing`, which also checks that
+the directions are coherent at the crossing.  That smoothing is the one
+route to a crossing's sign under an orientation: 1 - 2 times it.  The
+writhe, n± and linking numbers of every orientation come from
+`crossing_table`, per-pair sign counts computed once (and reset with the
+component cache) under the base orientation.
 
 Because a rotation system only pins the embedding of each connected piece,
 the diagram also records placement data: for every edged piece, a dart
 whose left side is the piece's own unbounded region, and a host dart
-locating the piece inside the rest of the diagram (None = outer face).
-Crossing-free loops carry a handedness bit and a host dart; loops never
-contain any other part of the diagram.
+locating the piece inside the rest of the diagram.  Crossing-free loops
+carry a handedness bit and a host dart; loops never contain any other part
+of the diagram.  A host of None means the outer face, for every builder
+and edit: any number of pieces and loops may sit there side by side.
 
 Five edits return a new diagram and leave the source as it is: `mirror`
 (switch every crossing), `reverse_all` (reverse every component),
@@ -44,7 +46,7 @@ walk direction; face traversal turns clockwise at each crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 Dart = tuple[int, int]
 End = tuple[int, int]  # (crossing id, slot 0..3)
@@ -77,22 +79,6 @@ class Component:
 
     edges: tuple[int, ...] = ()
     loop: int | None = None
-
-
-class CrossingTable(NamedTuple):
-    """What the signs under every orientation are read from.
-
-    ends maps each crossing to (over component, under component, sign under
-    the base orientation); pairs maps each component pair a <= b to the
-    counts (positive, negative) of its crossings under the base
-    orientation.  Flipping a set of components reverses the sign of exactly
-    the crossings whose two strands lie on one flipped and one kept
-    component, so the pair counts give the writhe, n± and every linking
-    number of any orientation in O(k^2) for k components.
-    """
-
-    ends: dict[int, tuple[int, int, int]]
-    pairs: dict[tuple[int, int], tuple[int, int]]
 
 
 class UnionFind:
@@ -166,7 +152,7 @@ class LinkDiagram:
         self._next_eid = 0
         self._next_lid = 0
         self._components: list[Component] | None = None
-        self._crossing_table: CrossingTable | None = None
+        self._crossing_table: dict[tuple[int, int], tuple[int, int]] | None = None
 
     # -- low-level construction ------------------------------------------
 
@@ -225,13 +211,6 @@ class LinkDiagram:
         for e in self.edges.values():
             uf.union(e.ends[0][0], e.ends[1][0])
         return {min(g): set(g) for g in uf.groups().values()}
-
-    def piece_of_crossing(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for key, grp in self.pieces().items():
-            for c in grp:
-                out[c] = key
-        return out
 
     # -- components and orientations --------------------------------------
 
@@ -296,37 +275,30 @@ class LinkDiagram:
             frozenset(l for l, k in self.component_of_loop().items() if k in flips),
         )
 
-    def crossing_table(self) -> CrossingTable:
-        """The diagram's CrossingTable, computed once and reset with the
-        component cache."""
+    def crossing_table(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Per component pair a <= b, the counts (positive, negative) of its
+        crossings under the base orientation, computed once and reset with
+        the component cache.  Flipping a set of components reverses the
+        sign of exactly the crossings whose two strands lie on one flipped
+        and one kept component, so these counts give the writhe, n± and
+        every linking number of any orientation in O(k^2) for k components.
+        """
         if self._crossing_table is None:
             comp = self.component_of_edge()
-            ends: dict[int, tuple[int, int, int]] = {}
             pairs: dict[tuple[int, int], list[int]] = {}
-            for cid, x in self.crossings.items():
+            for x in self.crossings.values():
                 over = comp[x.slots[x.over_diag][0]]
                 under = comp[x.slots[(x.over_diag + 1) % 4][0]]
-                sign = 1 - 2 * oriented_smoothing(x, frozenset())
-                ends[cid] = (over, under, sign)
-                pairs.setdefault((min(over, under), max(over, under)), [0, 0])[sign < 0] += 1
-            self._crossing_table = CrossingTable(ends, {k: tuple(v) for k, v in pairs.items()})
+                pair = (min(over, under), max(over, under))
+                pairs.setdefault(pair, [0, 0])[oriented_smoothing(x, frozenset())] += 1
+            self._crossing_table = {k: tuple(v) for k, v in pairs.items()}
         return self._crossing_table
-
-    def signs(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
-        """Sign of every crossing under the orientation that reverses the
-        components in `flips`: reversing exactly one of its two strands
-        reverses a crossing's sign."""
-        self._check_flips(flips)
-        return {
-            c: sign if (over in flips) == (under in flips) else -sign
-            for c, (over, under, sign) in self.crossing_table().ends.items()
-        }
 
     def _sign_counts(self, flips: frozenset[int]) -> tuple[int, int]:
         """(n_plus, n_minus) under flips, from the pair counts."""
         self._check_flips(flips)
         n_plus = n_minus = 0
-        for (a, b), (pos, neg) in self.crossing_table().pairs.items():
+        for (a, b), (pos, neg) in self.crossing_table().items():
             if (a in flips) != (b in flips):
                 pos, neg = neg, pos
             n_plus += pos
@@ -361,16 +333,11 @@ class LinkDiagram:
             )
         self._check_flips(flips)
         total = 0
-        for (a, b), (pos, neg) in self.crossing_table().pairs.items():
+        for (a, b), (pos, neg) in self.crossing_table().items():
             if (a in comps_a and b in comps_b) or (a in comps_b and b in comps_a):
                 total += neg - pos if (a in flips) != (b in flips) else pos - neg
         assert total % 2 == 0
         return total // 2
-
-    def oriented_smoothings(self, flips: frozenset[int] = frozenset()) -> dict[int, int]:
-        """Per crossing, the resolution compatible with the orientation
-        (0 for positive crossings, 1 for negative)."""
-        return {c: (1 - s) // 2 for c, s in self.signs(flips).items()}
 
     # -- global moves ------------------------------------------------------
 
@@ -416,19 +383,8 @@ class LinkDiagram:
             D.edges[e + de] = Edge((se(x.ends[0]), se(x.ends[1])))
         for l, x in other.loops.items():
             D.loops[l + dl] = Loop(x.ccw, sd(x.host))
-        # at most one piece may claim the outer face, so the incoming
-        # top-level pieces sit beside this diagram's own one
-        anchor = None
-        for k in sorted(self.piece_data):
-            own, host = self.piece_data[k]
-            if host is None:
-                anchor = own
-                break
         for k, (own, host) in other.piece_data.items():
-            host2 = sd(host)
-            if host2 is None:
-                host2 = anchor
-            D.piece_data[k + dc] = (sd(own), host2)  # type: ignore[arg-type]
+            D.piece_data[k + dc] = (sd(own), sd(host))  # type: ignore[arg-type]
         D._next_cid += other._next_cid
         D._next_eid += other._next_eid
         D._next_lid += other._next_lid
@@ -441,9 +397,15 @@ class LinkDiagram:
         return D
 
     def add_kink(self, eid: int, sign: int) -> "LinkDiagram":
-        """Insert a one-crossing curl of the given sign on edge eid."""
+        """Insert a one-crossing curl of the given sign on edge eid.
+
+        Raises ValueError for a sign other than ±1 or an edge the diagram
+        lacks.
+        """
         if sign not in (1, -1):
             raise ValueError(f"kink sign {sign} is not 1 or -1")
+        if eid not in self.edges:
+            raise ValueError(f"edge {eid} is not in the diagram")
         D = self.copy()
         old = D.edges[eid]
         tail, head = old.ends
@@ -494,8 +456,7 @@ class LinkDiagram:
             assert own[0] in self.edges
             if host is not None:
                 assert host[0] in self.edges
-                pc = self.piece_of_crossing()
-                assert pc[self.edges[host[0]].ends[0][0]] != key, (
+                assert self.edges[host[0]].ends[0][0] not in pieces[key], (
                     "piece hosted on its own dart"
                 )
         for x in self.loops.values():

@@ -634,7 +634,6 @@ def audit_family(
     max_level: int = 1,
     budget: int = 60,
     tables: dict | None = None,
-    progress=None,
 ) -> FamilyReport:
     """Audit every ladder entry of one companion knot.
 
@@ -648,10 +647,7 @@ def audit_family(
         tables = {}
     report = FamilyReport(name=name, writhe=w, max_level=max_level, budget=budget)
     for e in ladder(w, max_level):
-        rec = audit_entry(base, e, w, budget, LEE_SCAN_LIMIT, tables)
-        report.records.append(rec)
-        if progress is not None:
-            progress(rec)
+        report.records.append(audit_entry(base, e, w, budget, LEE_SCAN_LIMIT, tables))
     return report
 
 

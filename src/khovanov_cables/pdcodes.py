@@ -86,11 +86,8 @@ def read_pd(text: str) -> LinkDiagram:
             tail, head = (cids[cj], sj), (cids[ci], si)
         D.new_edge(tail, head)
 
-    pc = D.piece_of_crossing()
     for key, group in D.pieces().items():
-        e0 = min(
-            e for e, x in D.edges.items() if pc[x.ends[0][0]] == key
-        )
+        e0 = min(e for e, x in D.edges.items() if x.ends[0][0] in group)
         D.piece_data[key] = ((e0, 0), None)
     D.validate()
     return D

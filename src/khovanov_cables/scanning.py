@@ -72,12 +72,14 @@ the smaller (x, y), so the order is deterministic.
 
 Surfaces are stored by the boundary points each component touches.  An open
 point (an open edge e) is the bit 1 << e of an int, and a closed circle not
-yet capped is the bit 1 << (2*cid + k) for the k-th smoothing arc of
-crossing cid.  Every open point carries one source arc and one target arc of
-the same component, so a component's points are a union of cycles of the
-source and target matchings: together with those two matchings they name
-its whole strand boundary, and its boundary circles are the cycles inside
-its points plus its circle bits.  Gluing, lifting and capping are then a few
+yet capped is the bit 1 << k for the k-th arc of the step that closes it.
+Circle bits are local to one step: the step caps every circle it closes,
+a tracked row's in the lift and the rest in delooping.  Every open point
+carries one source arc and one target arc of the same component, so a
+component's points are a union of cycles of the source and target
+matchings: together with those two matchings they name its whole strand
+boundary, and its boundary circles are the cycles inside its points plus
+its circle bits.  Gluing, lifting and capping are then a few
 bit operations on small ints.
 
 A matching is held in one form, its key: the frozenset of its (point,
@@ -109,7 +111,7 @@ from itertools import product
 from typing import Sequence
 
 from .chain_algebra import ScalarComplex, Vec, eliminate_cheapest, inv_mod
-from .diagrams import LinkDiagram, smoothing_arcs
+from .diagrams import LinkDiagram, oriented_smoothing, smoothing_arcs
 from .frobenius import Theory
 from .planar import parities
 
@@ -205,7 +207,11 @@ def _strand_circles(points: int, cycles: tuple) -> int:
 
 def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
     """Genus-normalize working parts, make their labels monic, and fold the
-    labels' scalars and the closed parts into a unit scalar.
+    labels' scalars into a unit scalar.
+
+    No part closes up here: a glued part keeps its parts' points, and a
+    lifted part that loses its last point closes a circle with a bit, so
+    _cap is the one place where a surface closes.
 
     cycles are those of the result's matchings.  kept holds stored parts,
     already normalized, that join the result as they are.  Returns
@@ -226,11 +232,7 @@ def _rebuild(parts: list, memo: _SurfaceMemo, cycles: tuple, kept=()):
             label = th.mul(label, th.label_pow(th.handle(), slack // 2))
             if label == (0, 0):
                 return None, 0
-        if not (points or cs or ct):
-            coeff = coeff * th.counit(label) % p
-            if coeff == 0:
-                return None, 0
-            continue
+        assert points or cs or ct, "a part closed up outside _cap"
         if label[0] != 1 and label != (0, 1):
             c, label = _monic(label, p)
             coeff = coeff * c % p
@@ -372,7 +374,7 @@ def mor_cap(m: Morphism, cs: int, ct: int, cap_label, memo: _SurfaceMemo) -> Mor
 # attaching a crossing: rewiring and surface pieces
 
 
-def _rewire(key: frozenset, arcs: Sequence[tuple], cid: int):
+def _rewire(key: frozenset, arcs: Sequence[tuple]):
     """Apply the two smoothing arcs of one crossing to an open matching.
 
     Returns (new matching, steps): one (glue, new, circle) of bitmasks per
@@ -382,7 +384,7 @@ def _rewire(key: frozenset, arcs: Sequence[tuple], cid: int):
     M = dict(key)
     steps = []
     for k, (ea, eb) in enumerate(arcs):
-        circle = 1 << (2 * cid + k)
+        circle = 1 << k
         if ea == eb:
             # an edge with both ends at this crossing, closed into a circle
             steps.append((0, 0, circle))
@@ -604,8 +606,6 @@ class _Scan:
         return sc
 
     def _set_entry(self, x: int, y: int, m: Morphism) -> None:
-        if not m:
-            return
         self.d.setdefault(x, {})[y] = m
         self.rin.setdefault(y, set()).add(x)
 
@@ -642,7 +642,8 @@ class _Scan:
     ) -> _SurfaceMemo:
         """Rewire every generator through each smoothing's arcs (two for a
         crossing, joined by a saddle of Euler characteristic saddle_chi; one
-        for a join) and lift the rows; cid names the circles the arcs close.
+        for a join) and lift the rows; cid names the crossing whose
+        smoothing each tracked row follows.
 
         This is the first half of a step, and it consumes the complex it
         reads: each old row is popped from the old d as it is lifted, in
@@ -665,7 +666,7 @@ class _Scan:
             if hit is None:
                 sides = []
                 for arcs in smoothings:
-                    k2, steps = _rewire(key, arcs, cid)
+                    k2, steps = _rewire(key, arcs)
                     sides.append((k2, steps, tuple(c for _, _, c in steps if c)))
                 saddle = None
                 if len(sides) == 2:
@@ -963,12 +964,13 @@ class _Scan:
 
 
 def _make_track(D: LinkDiagram, th: Theory, flips: frozenset, ref: int) -> _Track:
-    edges, loops = parities(D, *D.reversed_parts(flips))
+    rev_edges, rev_loops = D.reversed_parts(flips)
+    edges, loops = parities(D, rev_edges, rev_loops)
     labels = [th.canonical_label(k) for k in (0, 1)]
     return _Track(
         flips,
         ref,
-        D.oriented_smoothings(flips),
+        {c: oriented_smoothing(x, rev_edges) for c, x in D.crossings.items()},
         {e: labels[k] for e, k in edges.items()},
         {lid: labels[k] for lid, k in loops.items()},
     )

@@ -499,7 +499,8 @@ def test_homology_spaces_of_dimension_zero():
         (h1, h2): (0, 1),
     }
     for (src, dst), shape in shapes.items():
-        M = induced_matrix(lambda v: v, src, dst)
+        # h1's class has no image in degree 2: map it there by zero
+        M = induced_matrix((lambda v: {}) if dst is h2 else (lambda v: v), src, dst)
         assert M.shape == shape and not arr(M).any()
 
 

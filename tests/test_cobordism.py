@@ -100,6 +100,31 @@ def test_les_report_flags_a_composite_that_is_not_zero():
     assert rep.failures == [(0, 0, "project-include", None, None)]
 
 
+@pytest.mark.parametrize(
+    "connect, composite",
+    [
+        # u spans H_0 of the cone, so the quotient class it projects to must
+        # die under the connecting map
+        (lambda t, u, s, w: lambda v: {s: v.get(u, 0)}, "connect-project"),
+        # s is a boundary in the cone, w is not: a connecting map into w
+        # survives the inclusion
+        (lambda t, u, s, w: lambda v: {w: v.get(t, 0)}, "include-connect"),
+    ],
+    ids=["connect-project", "include-connect"],
+)
+def test_les_report_flags_a_connecting_composite_that_is_not_zero(connect, composite):
+    # quotient t, u in degree 0, sub s, w in degree 1, and d(t) = s: the
+    # connecting map t -> s has rank 1, and so has each replacement, which
+    # keeps every dimension count right
+    cx = ScalarComplex(3)
+    t, u, s, w = (cx.add_generator(h, 0) for h in (0, 0, 1, 1))
+    cx.add_entry(t, s, 1)
+    cone = ConeSlices(khovanov(3), cx, frozenset({s, w}), frozenset({t, u}))
+    assert les_report(cone).ok
+    cone.connect = connect(t, u, s, w)
+    assert les_report(cone).failures == [(0, 0, composite, None, None)]
+
+
 def test_exactness_failure_is_detected_on_a_cube_cone():
     th = khovanov(3)
     D = cl(1, 1)

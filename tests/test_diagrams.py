@@ -32,6 +32,17 @@ def closure(*letters, strands=None):
     return braid_closure(BraidWord(n, tuple(letters)))
 
 
+def oriented_smoothings(D, flips=frozenset()):
+    """Per crossing, its smoothing under the orientation reversing flips, read
+    through reversed_parts and oriented_smoothing; its sign is 1 - 2 times it."""
+    rev_edges, _ = D.reversed_parts(flips)
+    return {c: oriented_smoothing(x, rev_edges) for c, x in D.crossings.items()}
+
+
+def signs_of(D, flips=frozenset()):
+    return {c: 1 - 2 * r for c, r in oriented_smoothings(D, flips).items()}
+
+
 # -- braid words -----------------------------------------------------------
 
 
@@ -128,8 +139,8 @@ def test_flipped_signs():
     D = closure(1, 1)
     assert D.n_minus() == 0
     assert D.n_minus(frozenset({0})) == 2
-    assert D.oriented_smoothings() == {c: 0 for c in D.crossings}
-    assert D.oriented_smoothings(frozenset({0})) == {c: 1 for c in D.crossings}
+    assert oriented_smoothings(D) == {c: 0 for c in D.crossings}
+    assert oriented_smoothings(D, frozenset({0})) == {c: 1 for c in D.crossings}
 
 
 # slot ends (1 = an edge's head) of hand-built crossings, over_diag 0:
@@ -152,12 +163,12 @@ def test_signs_writhe_and_linking_under_every_flip_set():
             for c, x in D.crossings.items()
         }
         # the closure makes one crossing per letter, in order, signed like it
-        base = D.signs()
+        base = signs_of(D)
         assert base == {c: 1 if l > 0 else -1 for c, l in zip(sorted(D.crossings), w.letters)}
         k = len(D.components())
         for bits in product((0, 1), repeat=k):
             flips = frozenset(i for i, b in enumerate(bits) if b)
-            signs = D.signs(flips)
+            signs = signs_of(D, flips)
             # reversing exactly one strand of a crossing reverses its sign
             assert signs == {
                 c: base[c] * (-1) ** ((a in flips) + (b in flips)) for c, (a, b) in ends.items()
@@ -165,7 +176,6 @@ def test_signs_writhe_and_linking_under_every_flip_set():
             values = list(signs.values())
             assert D.writhe(flips) == sum(values)
             assert (D.n_plus(flips), D.n_minus(flips)) == (values.count(1), values.count(-1))
-            assert D.oriented_smoothings(flips) == {c: (1 - s) // 2 for c, s in signs.items()}
             lk = {
                 (a, b): D.linking_number({a}, {b}, flips)
                 for a in range(k)
@@ -182,7 +192,8 @@ def test_signs_writhe_and_linking_under_every_flip_set():
 
 def test_crossing_table_agrees_with_a_per_crossing_derivation():
     # the oracle reads every crossing's smoothing through reversed_parts and
-    # oriented_smoothing, as the signs were derived before the table
+    # oriented_smoothing; the pair counts must give the same writhe, n± and
+    # linking numbers
     rng = Random(7215)
     compared = 0
     for _ in range(16):
@@ -197,12 +208,8 @@ def test_crossing_table_agrees_with_a_per_crossing_derivation():
         k = len(D.components())
         for bits in product((0, 1), repeat=k):
             flips = frozenset(i for i, b in enumerate(bits) if b)
-            rev_edges, _ = D.reversed_parts(flips)
-            smooth = {c: oriented_smoothing(x, rev_edges) for c, x in D.crossings.items()}
-            signs = {c: 1 - 2 * r for c, r in smooth.items()}
+            signs = signs_of(D, flips)
             values = list(signs.values())
-            assert D.signs(flips) == signs
-            assert D.oriented_smoothings(flips) == smooth
             assert D.writhe(flips) == sum(values)
             assert (D.n_plus(flips), D.n_minus(flips)) == (values.count(1), values.count(-1))
             for sub in product((0, 1), repeat=k):
@@ -384,7 +391,7 @@ def circle_parities(D, flips=frozenset()):
     edges, loops = planar.parities(D, *D.reversed_parts(flips))
     return [
         edges[min(c.edges)] if c.loop is None else loops[c.loop]
-        for c in state_circles(D, D.oriented_smoothings(flips))
+        for c in state_circles(D, oriented_smoothings(D, flips))
     ]
 
 
@@ -490,7 +497,7 @@ def test_rasmussen_alternation_in_every_orientation(rnd):
     for flips in product((0, 1), repeat=k):
         flips = frozenset(i for i in range(k) if flips[i])
         edges, loops = planar.parities(D, *D.reversed_parts(flips))
-        circles = state_circles(D, D.oriented_smoothings(flips))
+        circles = state_circles(D, oriented_smoothings(D, flips))
         circle_of = {}
         for i, c in enumerate(circles):
             assert c.loop is not None or len({edges[e] for e in c.edges}) == 1
@@ -509,4 +516,5 @@ def test_closure_always_validates(rnd):
     D.validate()
     assert D.writhe() == w.writhe
     assert len(D.components()) == len(w.closure_cycles())
-    assert D.n_plus() == w.n_plus and D.n_minus() == w.n_minus
+    assert D.n_plus() == sum(l > 0 for l in w.letters)
+    assert D.n_minus() == sum(l < 0 for l in w.letters)

@@ -149,7 +149,9 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
 
     def counted_audit(base, e, *args):
         calls.append(e)
-        return audit(base, e, *args)
+        rec = audit(base, e, *args)
+        check(rec)
+        return rec
 
     def counted_word(base, e):
         caller = sys._getframe(1).f_code.co_name
@@ -178,7 +180,7 @@ def test_audit_entry_builds_each_member_once(monkeypatch):
     monkeypatch.setattr(induction, "cable_family_diagram", counted)
     monkeypatch.setattr(induction, "entry_word", counted_word)
     monkeypatch.setattr(induction, "audit_entry", counted_audit)
-    report = audit_family(UNKNOT, "unknot", max_level=1, progress=check)
+    report = audit_family(UNKNOT, "unknot", max_level=1)
     assert report.ok(), report.problems()
     assert len(every) == len(set(every)) == 8
     # each audit_entry call computes its own word and each member's once,

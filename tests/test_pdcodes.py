@@ -55,7 +55,7 @@ def test_pretzel_core_is_positive_mirror():
     D = read_pd(PRETZEL_7_5)
     assert len(D.crossings) == 5
     assert D.writhe() == -5
-    assert all(v < 0 for v in D.signs().values())
+    assert D.n_plus() == 0
 
 
 def test_twist_knot_structure():
@@ -63,7 +63,7 @@ def test_twist_knot_structure():
     K.validate()
     assert len(K.crossings) == 7
     assert K.writhe() == -7
-    assert all(v < 0 for v in K.signs().values())
+    assert K.n_plus() == 0
     assert len(K.components()) == 1
 
 

@@ -128,6 +128,12 @@ BAD_INPUT = {
     "EDGE.filtration_level-not-a-cycle": ("EDGE.filtration_level", ({1: 1},)),
     "EDGE.filtration_level-not-h-homogeneous": ("EDGE.filtration_level", ({0: 1, 2: 1},)),
     "EDGE_H0.coords-not-a-cycle": ("EDGE_H0.coords", ([{1: 1}],)),
+    "EDGE_H0.coords-support-outside-degree": ("EDGE_H0.coords", ([{2: 1}],)),
+    "EDGE_H0.coords-support-partly-outside-degree": ("EDGE_H0.coords", ([{0: 1, 2: 1}],)),
+    "TRIO.add_kink-missing-edge": ("TRIO.add_kink", (max(TRIO.edges) + 1, 1)),
+    "ScalarComplex-modulus-one": ("ScalarComplex", (1,)),
+    "read_pd-no-crossings": ("read_pd", ("PD[]",)),
+    "read_pd-direction-clash": ("read_pd", ("PD[X[1,1,2,3], X[3,2,4,4]]",)),
 }
 
 

@@ -40,11 +40,12 @@ def theory_label(t: Theory) -> str:
 
 @dataclass
 class ConeSlices:
-    """A complex split at one crossing: the 1-smoothing side is a
-    subcomplex, the 0-smoothing side the quotient.  All three share the
-    ambient generator ids, so inclusion is the identity on coordinates,
-    projection just drops the subcomplex part, and the connecting map is
-    the ambient differential applied to a quotient cycle.
+    """A complex split at one crossing: the 1-smoothing side, the ids in
+    sub_ids, is a subcomplex, and the 0-smoothing side, every other id,
+    the quotient.  All three share the ambient generator ids, so
+    inclusion is the identity on coordinates, projection just drops the
+    subcomplex part, and the connecting map is the ambient differential
+    applied to a quotient cycle.
 
     reduced() is the same cone after Gaussian elimination within each
     side; its long exact sequence is isomorphic to this one.  les_report
@@ -53,7 +54,10 @@ class ConeSlices:
     theory: Theory
     cx: ScalarComplex
     sub_ids: frozenset[int]
-    quot_ids: frozenset[int]
+
+    @property
+    def quot_ids(self) -> frozenset[int]:
+        return frozenset(self.cx.grading.keys() - self.sub_ids)
 
     def sub_complex(self) -> ScalarComplex:
         return self.cx.restrict(self.sub_ids)
@@ -65,7 +69,7 @@ class ConeSlices:
         return dict(vec)
 
     def project(self, vec: Vec) -> Vec:
-        return {g: u for g, u in vec.items() if g in self.quot_ids}
+        return {g: u for g, u in vec.items() if g not in self.sub_ids}
 
     def connect(self, vec: Vec) -> Vec:
         y = self.cx.apply_d(vec)
@@ -91,14 +95,8 @@ class ConeSlices:
         out = copy.copy(self)
         out.cx = cx
         out.sub_ids = self.sub_ids.intersection(cx.grading)
-        out.quot_ids = self.quot_ids.intersection(cx.grading)
         out._check_sub_closed()
         return out
-
-
-def _crossing_ok(D: LinkDiagram, cid: int) -> None:
-    if cid not in D.crossings:
-        raise ValueError(f"crossing {cid} is not in the diagram")
 
 
 def cone_over_crossing(D: LinkDiagram, theory: Theory, cid: int) -> ConeSlices:
@@ -106,32 +104,28 @@ def cone_over_crossing(D: LinkDiagram, theory: Theory, cid: int) -> ConeSlices:
     a cone.  From the attach of `cid` on, elimination stays within each
     smoothing's side, so the sub and quotient blocks come out already
     reduced.  Scales to diagrams far beyond the full cube."""
-    _crossing_ok(D, cid)
     return split_cone(theory, scan_complex(D, theory, split_at=cid))
 
 
 def split_cone(theory: Theory, res: ScanResult) -> ConeSlices:
     """The cone of a split scan: its one side is the subcomplex."""
-    sub = frozenset(res.split["one"])
-    quot = frozenset(res.split["zero"])
-    assert sub.isdisjoint(quot)
-    assert sub | quot == set(res.complex.grading)
-    cone = ConeSlices(theory, res.complex, sub, quot)
+    cone = ConeSlices(theory, res.complex, res.sub)
     cone._check_sub_closed()
     return cone
 
 
 def cone_from_cube(D: LinkDiagram, theory: Theory, cid: int) -> ConeSlices:
     """Cube-route cone for small diagrams; mainly a cross-check."""
-    _crossing_ok(D, cid)
+    if cid not in D.crossings:
+        raise ValueError(f"crossing {cid} is not in the diagram")
     cube = CubeComplex(D, theory)
     i = cube.cids.index(cid)
-    sub: set[int] = set()
-    quot: set[int] = set()
-    for bits, circles in cube.circles.items():
-        start = cube.first[bits]
-        (sub if bits[i] else quot).update(range(start, start + (1 << len(circles))))
-    return ConeSlices(theory, cube.cx, frozenset(sub), frozenset(quot))
+    sub = frozenset(
+        g
+        for bits, circles in cube.circles.items() if bits[i]
+        for g in range(cube.first[bits], cube.first[bits] + (1 << len(circles)))
+    )
+    return ConeSlices(theory, cube.cx, sub)
 
 
 # -- the long exact sequence of a cone -----------------------------------
@@ -185,7 +179,7 @@ def les_report(cone: ConeSlices) -> TriangleReport:
         gens = {g for g, (_, qq) in cx.grading.items() if q is None or qq == q}
         amb = cx.restrict(gens)
         sub = cx.restrict(gens & cone.sub_ids)
-        quo = cx.restrict(gens & cone.quot_ids)
+        quo = cx.restrict(gens - cone.sub_ids)
         A = {h: HomologySpace(amb, h) for h in range(lo, hi + 1)}
         S = {h: HomologySpace(sub, h) for h in range(lo, hi + 1)}
         Q = {h: HomologySpace(quo, h) for h in range(lo, hi + 1)}

@@ -556,10 +556,14 @@ class _Track:
 
 @dataclass
 class ScanResult:
+    """A closed sweep: the reduced complex, each transported orientation's
+    cycle in it, the sweep's girth, and for a split scan the ids of the
+    one side (None when no crossing was split)."""
+
     complex: ScalarComplex
     cycles: dict
     girth: int
-    split: dict | None = None
+    sub: frozenset[int] | None = None
 
 
 class _Scan:
@@ -953,14 +957,12 @@ class _Scan:
                         v[ids[(gid, sigma)]] = c
             cycles[tr.flips] = v
 
-        split = None
+        sub = None
         if any(g.side is not None for g in self.gens.values()):
-            split = {"zero": [], "one": []}
-            for gid in sorted(self.gens):
-                key = "zero" if self.gens[gid].side == 0 else "one"
-                for sigma in signs:
-                    split[key].append(ids[(gid, sigma)])
-        return ScanResult(cx, cycles, self.girth, split)
+            sub = frozenset(
+                ids[(gid, sigma)] for gid, g in self.gens.items() if g.side == 1 for sigma in signs
+            )
+        return ScanResult(cx, cycles, self.girth, sub)
 
 
 def _make_track(D: LinkDiagram, th: Theory, flips: frozenset, ref: int) -> _Track:
@@ -990,12 +992,13 @@ def scan_complex(
     lists the orientations whose distinguished cycles should be transported;
     the result maps each to a vector in the returned complex.  split_at
     names a crossing whose two smoothings are kept apart from its attach
-    on, wherever scan_order puts it: .split lists them, the one side a
-    subcomplex and the zero side its quotient, each reduced by elimination
-    on its own.  degrees = (lo, hi) keeps only the generators that can
-    still end in homological degrees lo..hi: the result's homology, and the
-    filtration level of its classes, are the full complex's in every degree
-    strictly between lo and hi, and only there.
+    on, wherever scan_order puts it: .sub holds the one side's ids, a
+    subcomplex whose complement, the zero side, is its quotient, each
+    reduced by elimination on its own.  degrees = (lo, hi) keeps only the
+    generators that can still end in homological degrees lo..hi: the
+    result's homology, and the filtration level of its classes, are the
+    full complex's in every degree strictly between lo and hi, and only
+    there.
     """
     for o in (flips, *(orientations or [])):
         D.reversed_parts(o)  # raises ValueError before any attach

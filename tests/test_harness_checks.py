@@ -108,7 +108,6 @@ def lose_sub_block(cone, *args):
 
 MOVED = "f=0 level=1 rows=1 tail=1 strands {}: linking {} + moved 2 != {}"
 TWISTED = "f=0 level=1 rows=1 tail=1 strands {}: twist linking {} != 4"
-ABOVE = "f=0 level=1 rows=1 tail=1 strands {}: twist linking {} above span 4"
 
 # case id -> (entry, whether the family's tables are known, fault, the
 # problems it must raise, (record field, value)); a fault takes the
@@ -217,18 +216,20 @@ ENTRY_FAULTS = {
         ),
         ("triangle.degree", 2),
     ),
-    "twist-linking-above-span": (
-        MERGE, False,
-        linking_of(TWIST, 5),
-        tuple(
-            text
-            for strands in ([0, 2], [1])
-            for text in (
-                MOVED.format(strands, 2, 14), TWISTED.format(strands, 14), ABOVE.format(strands, 14),
-            )
-        ),
-        ("triangle.degree", 2),
-    ),
+    # a twist linking above the span 4 is never the pinned (f + 1) * 4
+    **{
+        f"twist-linking-above-span-by-{by}": (
+            MERGE, False,
+            linking_of(TWIST, by),
+            tuple(
+                text
+                for strands in ([0, 2], [1])
+                for text in (MOVED.format(strands, 2, 4 + 2 * by), TWISTED.format(strands, 4 + 2 * by))
+            ),
+            ("triangle.degree", 2),
+        )
+        for by in (1, 2, 5)
+    },
 }
 
 
@@ -273,7 +274,7 @@ INCLUSION_FAULTS = {
         ("degree", 3),
     ),
     "block-dimension": (
-        patch("_table_top", lambda dims, h: 3),
+        patch("_degree_totals", lambda dims: {induction.top_grading(0): 3}),
         ("block dimension 4 != smaller member's top 6", "smaller member's top degree misses its census"),
         ("small_top_dim", 6),
     ),

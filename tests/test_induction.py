@@ -91,6 +91,14 @@ def test_unknot_inclusion_is_injective(level):
     assert report.injective and report.rank == report.sub_dim > 0
 
 
+def test_writhe_minus_two_unknot_inclusion_is_injective():
+    # the full twist of a companion with writhe -2 carries two framing twists
+    report = inclusion_report(BraidWord(3, (-1, -2)), 1)
+    assert report.ok(), report.problems
+    assert (report.sub_dim, report.rank, report.degree) == (4, 4, 0)
+    assert (report.small_top_dim, report.small_census_top) == (4, 4)
+
+
 @pytest.mark.parametrize("level", [1, 2])
 def test_inclusion_scans_only_ladder_members(monkeypatch, level):
     # the freed circle costs a factor Kh(U) on the smaller member's table,
@@ -127,7 +135,7 @@ def test_duplicates_hold_their_partners_tables():
         if r.duplicate_of in tables:
             assert tables[r.entry] is tables[r.duplicate_of], r.entry.label()
             top = induction.top_grading(r.entry.level)
-            assert r.top_dim == induction._table_top(tables[r.entry]["table"], top)
+            assert r.top_dim == induction._degree_totals(tables[r.entry]["table"]).get(top, 0)
 
 
 @pytest.mark.parametrize("level", [1, 2])

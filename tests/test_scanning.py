@@ -176,10 +176,9 @@ def test_split_exposes_last_crossing_summands():
     cid = max(D.crossings)
     th = khovanov(3)
     res = scan_complex(D, th, split_at=cid)
-    assert res.split is not None
-    zero, one = set(res.split["zero"]), set(res.split["one"])
-    assert zero and one and not (zero & one)
-    assert zero | one == set(res.complex.generators())
+    one = res.sub
+    assert isinstance(one, frozenset) and one and one < set(res.complex.generators())
+    assert scan_complex(D, th).sub is None
     # entries never go from the one side back to the zero side
     for x in res.complex.generators():
         for y, c in res.complex.cols.get(x, {}).items():
@@ -212,7 +211,7 @@ def test_split_and_tracked_scan_matches_the_cube():
             ors = [] if th.q_exact else all_orientations(D)
             res = scan_complex(D, th, orientations=ors, split_at=cid)
             cx = res.complex
-            one = set(res.split["one"])
+            one = res.sub
             for x, col in cx.cols.items():
                 for y in col:
                     # at export an entry is iso exactly when it keeps q
@@ -223,7 +222,7 @@ def test_split_and_tracked_scan_matches_the_cube():
             cone = cone_from_cube(D, th, cid)
             assert cx.homology_dims() == cone.cx.homology_dims()
             assert cx.restrict(one).homology_dims() == cone.sub_complex().homology_dims()
-            assert cx.restrict(res.split["zero"]).homology_dims() == cone.quot_complex().homology_dims()
+            assert cx.restrict(cx.grading.keys() - one).homology_dims() == cone.quot_complex().homology_dims()
             for o in ors:
                 v, want = res.cycles[o], cube.canonical_cycle(o)
                 assert cx.apply_d(v) == {}
@@ -302,7 +301,7 @@ def restart_sweep_eliminate_all(self, memo):
 
 def exported(res):
     cx = res.complex
-    return cx.grading, cx.cols, res.cycles, res.girth, res.split
+    return cx.grading, cx.cols, res.cycles, res.girth, res.sub
 
 
 def seeded_scans(seed, count):
@@ -323,9 +322,9 @@ def homology_view(res):
     of the split blocks, and each transported cycle's degree and level."""
     cx = res.complex
     view = [cx.homology_dims(), res.girth]
-    if res.split is not None:
+    if res.sub is not None:
         # entries never leave the one side, so it is the sub, zero the quotient
-        view += [cx.restrict(res.split[side]).homology_dims() for side in ("one", "zero")]
+        view += [cx.restrict(ids).homology_dims() for ids in (res.sub, cx.grading.keys() - res.sub)]
     for o, v in sorted(res.cycles.items(), key=lambda item: sorted(item[0])):
         view.append((o, {cx.grading[g][0] for g in v}, cx.filtration_level(v)))
     return view
